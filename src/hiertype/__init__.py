@@ -34,7 +34,6 @@ from .hierarchy import (
     TypeHierarchy,
     TypeId,
     UnknownTypeError,
-    candidate_synsets,
     derive_cooccurrence_links,
     load_hierarchy,
     write_links,
@@ -49,20 +48,15 @@ from .model import (
     ModelError,
     ModelParams,
     ScoreKind,
-    cnn_forward,
     encode_mention,
-    encode_vectors,
     load_checkpoint,
     log_sigmoid,
     neg_log_one_minus_sigmoid,
-    order_violation,
-    penalty_non_membership,
     rank_types,
     sample_dropout_masks,
     save_checkpoint,
     sigmoid,
     score_all_types,
-    score_membership,
     surface_average,
 )
 from .training import (
@@ -75,20 +69,16 @@ from .training import (
     TrainResult,
     TrainingError,
     adam_step,
-    backward,
-    combined_loss,
-    combined_loss_with_pattern,
     config_from_strings,
     finite_difference_check,
     glorot_init,
     init_model,
     load_train_config,
+    loss,
     make_checkpoint,
     prepare_typing_batch,
-    structure_loss,
     structure_pool,
     train,
-    typing_loss,
     write_history,
 )
 

@@ -50,7 +50,7 @@ class Mention:
         if len(self.span) != 2:
             raise CorpusError(f"span must have two endpoints, got {self.span!r}")
         t1, t2 = self.span
-        if not (isinstance(t1, int) and isinstance(t2, int)):
+        if not all(isinstance(t, int) and not isinstance(t, bool) for t in self.span):
             raise CorpusError(f"span endpoints must be integers, got {self.span!r}")
         if not (0 <= t1 <= t2 < len(self.tokens)):
             raise CorpusError(

@@ -288,15 +288,8 @@ class TypeHierarchy:
         return len(self._names)
 
     @property
-    def type_count(self) -> int:
-        return len(self._names)
-
-    @property
     def type_names(self) -> tuple[str, ...]:
         return self._names
-
-    def type_ids(self) -> tuple[TypeId, ...]:
-        return self._ids
 
     def __contains__(self, ref: object) -> bool:
         try:
@@ -380,13 +373,15 @@ class TypeHierarchy:
         try:
             types = [str(t) for t in data["types"]]
             raw = [_normalize_raw(str(c), str(p), str(k)) for c, p, k in data["links"]]
+            stored = data.get("ancestors")
+            if stored is not None:
+                stored = [list(map(int, a)) for a in stored]
         except (KeyError, TypeError, ValueError) as exc:
             raise HierarchyError(f"{source}: malformed hierarchy payload: {exc}") from exc
         h = cls(raw, source=source, name_order=types)
-        stored = data.get("ancestors")
         if stored is not None:
             recomputed = [list(a) for a in h._ancestors]
-            if [list(map(int, a)) for a in stored] != recomputed:
+            if stored != recomputed:
                 raise HierarchyError(f"{source}: stored ancestor sets do not match recomputed closure")
         return h
 
@@ -491,36 +486,6 @@ def write_links(path: str, links: Iterable[Link], header: str | None = None) -> 
 
 # ----------------------------------------------------------------------
 # dataset-construction helpers
-
-
-def _normalize_fb_type(name: str) -> str:
-    final = name.rstrip("/").split("/")[-1]
-    return final.replace("_", " ").replace("-", " ").casefold()
-
-
-def _normalize_synset(name: str) -> str:
-    return name.replace("_", " ").replace("-", " ").casefold()
-
-
-def candidate_synsets(fb_type: str, synset_names: Sequence[str]) -> list[str]:
-    """Synset names lexically compatible with a path-style type name.
-
-    The final path segment of ``fb_type`` and each synset name are both
-    lowercased with underscores/hyphens mapped to spaces; a synset is a
-    candidate when either normalized string contains the other.  Input
-    order is preserved; nothing is deduplicated.
-    """
-    if not fb_type:
-        raise HierarchyError("empty type name")
-    probe = _normalize_fb_type(fb_type)
-    if not probe:
-        return []
-    out = []
-    for synset in synset_names:
-        norm = _normalize_synset(synset)
-        if probe in norm or norm in probe:
-            out.append(synset)
-    return out
 
 
 class EntityTypeTable:

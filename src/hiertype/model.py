@@ -24,6 +24,7 @@ Penalties are always >= 0 and are added to losses for negative pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import BinaryIO, Sequence
@@ -230,7 +231,6 @@ class CnnCache:
     """Everything the CNN backward pass needs from the forward pass."""
 
     windows: np.ndarray   # (J, w, d) input slices, zeros where out of range
-    pre: np.ndarray       # (J, d) pre-activations
     active: np.ndarray    # (J, d) bool, pre > 0
     argmax: np.ndarray    # (d,) first maximizing window per output dim
     out: np.ndarray       # (d,) pooled ReLU outputs
@@ -269,12 +269,7 @@ def cnn_forward_cached(p: EncoderParams, word_vectors: np.ndarray) -> CnnCache:
     relu = np.maximum(pre, 0.0)
     argmax = np.argmax(relu, axis=0)  # first max wins on ties
     out = relu[argmax, np.arange(d)]
-    return CnnCache(windows=windows, pre=pre, active=pre > 0.0, argmax=argmax, out=out)
-
-
-def cnn_forward(p: EncoderParams, word_vectors: np.ndarray) -> np.ndarray:
-    """Max-pooled CNN sentence vector (d,)."""
-    return cnn_forward_cached(p, word_vectors).out
+    return CnnCache(windows=windows, active=pre > 0.0, argmax=argmax, out=out)
 
 
 def surface_average(word_vectors: np.ndarray, span: tuple[int, int]) -> np.ndarray:
@@ -288,13 +283,9 @@ def surface_average(word_vectors: np.ndarray, span: tuple[int, int]) -> np.ndarr
 
 @dataclass
 class EncoderCache:
-    mode: EncoderMode
     cnn: CnnCache | None
-    sfm: np.ndarray             # (d,) span mean
-    concat: np.ndarray          # (2d,) pre-dropout
     concat_dropped: np.ndarray  # (2d,)
-    pre_hidden: np.ndarray      # (d,)
-    hidden_active: np.ndarray   # (d,) bool, pre_hidden > 0
+    hidden_active: np.ndarray   # (d,) bool, hidden pre-activation > 0
     hidden_dropped: np.ndarray  # (d,)
     out: np.ndarray             # (d,)
 
@@ -322,20 +313,9 @@ def encode_vectors_cached(
     hidden_dropped = hidden * masks.hidden if masks is not None else hidden
     out = p.w2 @ hidden_dropped + p.b2
     return EncoderCache(
-        mode=mode, cnn=cnn, sfm=sfm, concat=concat, concat_dropped=dropped,
-        pre_hidden=pre, hidden_active=pre > 0.0, hidden_dropped=hidden_dropped,
-        out=out,
+        cnn=cnn, concat_dropped=dropped, hidden_active=pre > 0.0,
+        hidden_dropped=hidden_dropped, out=out,
     )
-
-
-def encode_vectors(
-    p: EncoderParams,
-    word_vectors: np.ndarray,
-    span: tuple[int, int],
-    mode: EncoderMode,
-    masks: DropoutMasks | None = None,
-) -> np.ndarray:
-    return encode_vectors_cached(p, word_vectors, span, mode, masks).out
 
 
 def encode_mention(
@@ -346,51 +326,11 @@ def encode_mention(
     masks: DropoutMasks | None = None,
 ) -> np.ndarray:
     """Encode one mention into the shared d-dim space."""
-    return encode_vectors(p, emb.vectors(mention.tokens), mention.span, mode, masks)
+    return encode_vectors_cached(p, emb.vectors(mention.tokens), mention.span, mode, masks).out
 
 
 # ----------------------------------------------------------------------
 # pair scoring
-
-
-def order_violation(x: np.ndarray, y: np.ndarray) -> float:
-    """E(x, y) = ||max(0, y - x)||^2; zero iff x dominates y coordinatewise."""
-    r = np.maximum(0.0, np.asarray(y, dtype=np.float64) - np.asarray(x, dtype=np.float64))
-    return float(np.square(r).sum())
-
-
-def _pair_logit(kind: ScoreKind, x: np.ndarray, y: np.ndarray, bilinear: np.ndarray | None) -> float:
-    if kind is ScoreKind.BILINEAR:
-        if bilinear is None:
-            raise ModelError("bilinear scoring requires a matrix")
-        return float(x @ bilinear @ y)
-    return float(np.dot(x, y))
-
-
-def score_membership(
-    kind: ScoreKind,
-    x: np.ndarray,
-    y: np.ndarray,
-    bilinear: np.ndarray | None = None,
-) -> float:
-    """Membership score of x in y; higher means more compatible."""
-    if kind is ScoreKind.ORDER:
-        return -order_violation(x, y)
-    return float(log_sigmoid(_pair_logit(kind, x, y, bilinear)))
-
-def penalty_non_membership(
-    kind: ScoreKind,
-    x: np.ndarray,
-    y: np.ndarray,
-    bilinear: np.ndarray | None = None,
-    margin: float = 1.0,
-) -> float:
-    """Always-nonnegative penalty added to the loss for negative pairs."""
-    if kind is ScoreKind.ORDER:
-        if margin <= 0:
-            raise ModelError(f"order margin must be positive, got {margin!r}")
-        return max(0.0, margin - order_violation(x, y))
-    return float(neg_log_one_minus_sigmoid(_pair_logit(kind, x, y, bilinear)))
 
 
 def score_all_types(
@@ -497,19 +437,26 @@ def load_checkpoint(path: str) -> Checkpoint:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    if header.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a model checkpoint")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    specs = header.get("tensors")
+    if not isinstance(specs, list) or not all(
+        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)
+        and all(type(s) is int and s >= 0 for s in e[1]) for e in specs
+    ):
+        raise CheckpointError(f"{path}: header 'tensors' must be a list of [name, shape] pairs "
+                              "with non-negative integer dimensions")
     tensors: dict[str, np.ndarray] = {}
     offset = 0
-    for name, shape in header["tensors"]:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for name, shape in specs:
+        count = math.prod(shape)
         nbytes = count * 8
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated tensor block for {name!r}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        tensors[name] = arr.reshape([int(s) for s in shape]).astype(np.float64)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing byte(s) after tensors")

@@ -11,14 +11,17 @@ over non-ancestors excluding the type itself; types with no ancestors are
 never sampled.  The combined objective is typing + structure_weight *
 structure, and one structure batch is consumed after every typing batch.
 
+``loss`` is the single entry point for that objective: it returns the
+loss value and, on request, its gradients and its kink pattern.
 Gradients are derived by hand and computed with plain numpy in float64.
 ``finite_difference_check`` provides the independent verification route:
-central differences with an activation-pattern guard.  Every loss
-evaluation also produces a byte pattern encoding its ReLU masks, max-pool
-argmax indices, order-rectifier signs, hinge-active bits, and
-sigmoid-clamp bits; a coordinate is compared only when the pattern at
-theta, theta+eps, and theta-eps is identical, which excludes coordinates
-sitting on a kink of the piecewise-smooth loss.
+central differences with an activation-pattern guard.  With
+``pattern=True`` a loss evaluation also produces a byte pattern encoding
+its ReLU masks, max-pool argmax indices, order-rectifier signs,
+hinge-active bits, and sigmoid-clamp bits; a coordinate is compared only
+when the pattern at theta, theta+eps, and theta-eps is identical, which
+excludes coordinates sitting on a kink of the piecewise-smooth loss.
+Training never asks for the pattern.
 """
 
 from __future__ import annotations
@@ -323,21 +326,25 @@ def _membership_grid(
     pos: np.ndarray,
     neg: np.ndarray,
     want_grads: bool,
+    want_pattern: bool,
 ) -> _GridResult:
     """Sum of -score over pos pairs plus penalty over neg pairs, with the
-    gradients d/dx, d/dy, d/dA of that unnormalized sum."""
+    gradients d/dx, d/dy, d/dA of that unnormalized sum and, on request,
+    the kink-pattern bytes."""
+    pattern: list[bytes] = []
     if kind is ScoreKind.ORDER:
         if margin <= 0:
             raise ModelError(f"order margin must be positive, got {margin!r}")
-        diff = y[None, :, :] - x[:, None, :]
-        rect = np.maximum(diff, 0.0)
+        rect = y[None, :, :] - x[:, None, :]
+        np.maximum(rect, 0.0, out=rect)  # in place: one (B, N, d) buffer
         energy = np.einsum("bnd,bnd->bn", rect, rect)
         hinge_active = energy < margin
         loss_sum = float((energy * pos).sum() + (np.maximum(margin - energy, 0.0) * neg).sum())
-        pattern = [
-            np.packbits((diff > 0.0) & (pos | neg)[:, :, None]).tobytes(),
-            np.packbits(hinge_active & neg).tobytes(),
-        ]
+        if want_pattern:
+            pattern = [
+                np.packbits((rect > 0.0) & (pos | neg)[:, :, None]).tobytes(),
+                np.packbits(hinge_active & neg).tobytes(),
+            ]
         if not want_grads:
             return _GridResult(loss_sum, None, None, None, pattern)
         # dE/dx = -2 rect, dE/dy = +2 rect; hinge contributes -dE when active
@@ -358,7 +365,8 @@ def _membership_grid(
     neg_terms = neg_log_one_minus_sigmoid(logits)
     capped = neg_terms >= SATURATED_PENALTY
     loss_sum = float((pos_terms * pos).sum() + (neg_terms * neg).sum())
-    pattern = [np.packbits(capped & neg).tobytes()]
+    if want_pattern:
+        pattern = [np.packbits(capped & neg).tobytes()]
     if not want_grads:
         return _GridResult(loss_sum, None, None, None, pattern)
     # d(-log sigma)/du = sigma - 1; d(-log(1-sigma))/du = sigma, but exactly 0
@@ -417,77 +425,94 @@ def _encoder_backward(
     grads["cnn_w"] += np.einsum("o,oki->kio", contrib, winners)
 
 
-def _forward_backward(
-    typing_batch: Sequence[PreparedMention] | None,
-    structure_batch: Sequence[StructurePair] | None,
+def _structure_masks(
+    batch: Sequence[StructurePair], n_types: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Type indexes of a structure batch, its ancestor (positive) mask, and
+    its negative mask: every non-ancestor except the type itself."""
+    if not batch:
+        raise TrainingError("empty structure batch")
+    idx = np.array([t for t, _ in batch], dtype=np.intp)
+    if idx.min() < 0 or idx.max() >= n_types:
+        raise TrainingError("structure type index out of range")
+    pos = np.zeros((len(batch), n_types), dtype=bool)
+    for b, (t, anc) in enumerate(batch):
+        if not anc:
+            raise TrainingError(f"type {t} has no ancestors; exclude it from structure batches")
+        pos[b, list(anc)] = True
+    neg = ~pos
+    neg[np.arange(len(batch)), idx] = False
+    return idx, pos, neg
+
+
+def loss(
+    typing: Sequence[PreparedMention] | None,
+    structure: Sequence[StructurePair] | None,
     params: ModelParams,
+    config: TrainConfig,
+    masks: Sequence[DropoutMasks] | None = None,
     *,
-    mention_kind: ScoreKind,
-    structure_kind: ScoreKind | None,
-    mode: EncoderMode,
-    margin: float,
-    structure_weight: float,
-    masks: Sequence[DropoutMasks] | None,
-    want_grads: bool,
-) -> tuple[float, dict[str, np.ndarray] | None, bytes]:
+    grads: bool = False,
+    pattern: bool = False,
+) -> tuple[float, dict[str, np.ndarray] | None, bytes | None]:
+    """The combined objective typing + structure_weight * structure.
+
+    This is the one entry point for the loss value, its exact analytic
+    gradients for every tensor (``grads=True``), and the kink-pattern
+    bytes the finite-difference checker compares (``pattern=True``); it
+    returns ``(loss, grads or None, pattern or None)``.  Either batch may
+    be None, and the structure batch is ignored at structure_weight 0.
+    Tensors that do not participate (CNN filters in mention-only mode, the
+    structure machinery at structure_weight 0) get exact zero gradients.
+    """
     t_emb = params.type_emb
     n_types = t_emb.shape[0]
     total = 0.0
-    grads = {k: np.zeros_like(v) for k, v in params.tensors().items()} if want_grads else None
-    pattern: list[bytes] = []
+    out = {k: np.zeros_like(v) for k, v in params.tensors().items()} if grads else None
+    parts: list[bytes] = []
 
-    if typing_batch is not None:
-        m_count = len(typing_batch)
+    if typing is not None:
+        m_count = len(typing)
         if m_count == 0:
             raise TrainingError("empty typing batch")
         if masks is not None and len(masks) != m_count:
             raise TrainingError("need one dropout mask set per mention")
+        kind = config.mention_score_kind
         caches = []
-        for i, pm in enumerate(typing_batch):
+        for i, pm in enumerate(typing):
             if not pm.gold:
                 raise TrainingError("mention with empty gold set")
             if max(pm.gold) >= n_types or min(pm.gold) < 0:
                 raise TrainingError("gold type index out of range")
             mk = masks[i] if masks is not None else None
-            caches.append(encode_vectors_cached(params.encoder, pm.word_vectors, pm.span, mode, mk))
-            pattern.extend(_encoder_pattern(caches[-1]))
+            caches.append(encode_vectors_cached(params.encoder, pm.word_vectors, pm.span,
+                                                config.encoder_mode, mk))
+            if pattern:
+                parts.extend(_encoder_pattern(caches[-1]))
         mention_mat = np.stack([c.out for c in caches])
         pos = np.zeros((m_count, n_types), dtype=bool)
-        for i, pm in enumerate(typing_batch):
+        for i, pm in enumerate(typing):
             pos[i, list(pm.gold)] = True
         grid = _membership_grid(
-            mention_kind, mention_mat, t_emb,
-            params.bilinear if mention_kind is ScoreKind.BILINEAR else None,
-            margin, pos, ~pos, want_grads,
+            kind, mention_mat, t_emb,
+            params.bilinear if kind is ScoreKind.BILINEAR else None,
+            config.margin, pos, ~pos, grads, pattern,
         )
         total += grid.loss_sum / m_count
-        pattern.extend(grid.pattern)
-        if want_grads:
+        parts.extend(grid.pattern)
+        if grads:
             scale = 1.0 / m_count
-            grads["type_emb"] += scale * grid.d_y
+            out["type_emb"] += scale * grid.d_y
             if grid.d_a is not None:
-                grads["bilinear"] += scale * grid.d_a
+                out["bilinear"] += scale * grid.d_a
             for i, cache in enumerate(caches):
                 mk = masks[i] if masks is not None else None
-                _encoder_backward(params.encoder, cache, scale * grid.d_x[i], mk, grads)
+                _encoder_backward(params.encoder, cache, scale * grid.d_x[i], mk, out)
 
-    if structure_batch is not None and structure_weight != 0.0:
-        b_count = len(structure_batch)
-        if b_count == 0:
-            raise TrainingError("empty structure batch")
-        kind = structure_kind if structure_kind is not None else mention_kind
-        idx = np.array([t for t, _ in structure_batch], dtype=np.intp)
-        if idx.size and (idx.min() < 0 or idx.max() >= n_types):
-            raise TrainingError("structure type index out of range")
-        x = t_emb[idx]
-        pos = np.zeros((b_count, n_types), dtype=bool)
-        for b, (t, anc) in enumerate(structure_batch):
-            if not anc:
-                raise TrainingError(f"type {t} has no ancestors; exclude it from structure batches")
-            pos[b, list(anc)] = True
-        self_mask = np.zeros((b_count, n_types), dtype=bool)
-        self_mask[np.arange(b_count), idx] = True
-        neg = ~pos & ~self_mask
+    weight = config.structure_weight
+    if structure is not None and weight != 0.0:
+        kind = config.effective_structure_kind()
+        idx, pos, neg = _structure_masks(structure, n_types)
         matrix = None
         matrix_key = None
         if kind is ScoreKind.BILINEAR:
@@ -497,127 +522,19 @@ def _forward_backward(
                 matrix, matrix_key = params.bilinear, "bilinear"
             else:
                 raise ModelError("bilinear structure scoring requires a matrix")
-        grid = _membership_grid(kind, x, t_emb, matrix, margin, pos, neg, want_grads)
-        total += structure_weight * grid.loss_sum / b_count
-        pattern.extend(grid.pattern)
-        if want_grads:
-            scale = structure_weight / b_count
+        grid = _membership_grid(kind, t_emb[idx], t_emb, matrix, config.margin, pos, neg,
+                                grads, pattern)
+        total += weight * grid.loss_sum / len(structure)
+        parts.extend(grid.pattern)
+        if grads:
+            scale = weight / len(structure)
             d_t = grid.d_y
             np.add.at(d_t, idx, grid.d_x)  # x rows are views of rows of t_emb
-            grads["type_emb"] += scale * d_t
+            out["type_emb"] += scale * d_t
             if grid.d_a is not None:
-                grads[matrix_key] += scale * grid.d_a
+                out[matrix_key] += scale * grid.d_a
 
-    return float(total), grads, b"".join(pattern)
-
-
-# ----------------------------------------------------------------------
-# public loss / gradient entry points
-
-
-def typing_loss(
-    batch: Sequence[LabeledExample],
-    params: ModelParams,
-    emb: EmbeddingTable,
-    *,
-    kind: ScoreKind,
-    mode: EncoderMode,
-    margin: float = 1.0,
-    masks: Sequence[DropoutMasks] | None = None,
-) -> float:
-    prepared = prepare_typing_batch(batch, emb)
-    loss, _, _ = _forward_backward(
-        prepared, None, params,
-        mention_kind=kind, structure_kind=None, mode=mode, margin=margin,
-        structure_weight=0.0, masks=masks, want_grads=False,
-    )
-    return loss
-
-
-def structure_loss(
-    batch: Sequence[StructurePair],
-    type_emb: np.ndarray,
-    *,
-    kind: ScoreKind,
-    bilinear: np.ndarray | None = None,
-    margin: float = 1.0,
-) -> float:
-    if not batch:
-        raise TrainingError("empty structure batch")
-    t_emb = np.asarray(type_emb, dtype=np.float64)
-    n_types = t_emb.shape[0]
-    b_count = len(batch)
-    idx = np.array([t for t, _ in batch], dtype=np.intp)
-    pos = np.zeros((b_count, n_types), dtype=bool)
-    for b, (t, anc) in enumerate(batch):
-        if not anc:
-            raise TrainingError(f"type {t} has no ancestors; exclude it from structure batches")
-        pos[b, list(anc)] = True
-    self_mask = np.zeros((b_count, n_types), dtype=bool)
-    self_mask[np.arange(b_count), idx] = True
-    grid = _membership_grid(kind, t_emb[idx], t_emb, bilinear, margin, pos, ~pos & ~self_mask, False)
-    return grid.loss_sum / b_count
-
-
-def combined_loss(
-    typing_batch: Sequence[PreparedMention] | None,
-    structure_batch: Sequence[StructurePair] | None,
-    params: ModelParams,
-    config: TrainConfig,
-    masks: Sequence[DropoutMasks] | None = None,
-) -> float:
-    loss, _, _ = _forward_backward(
-        typing_batch, structure_batch, params,
-        mention_kind=config.mention_score_kind,
-        structure_kind=config.effective_structure_kind(),
-        mode=config.encoder_mode, margin=config.margin,
-        structure_weight=config.structure_weight,
-        masks=masks, want_grads=False,
-    )
-    return loss
-
-
-def combined_loss_with_pattern(
-    typing_batch: Sequence[PreparedMention] | None,
-    structure_batch: Sequence[StructurePair] | None,
-    params: ModelParams,
-    config: TrainConfig,
-    masks: Sequence[DropoutMasks] | None = None,
-) -> tuple[float, bytes]:
-    """Loss plus the activation-pattern bytes used by the kink guard."""
-    loss, _, pattern = _forward_backward(
-        typing_batch, structure_batch, params,
-        mention_kind=config.mention_score_kind,
-        structure_kind=config.effective_structure_kind(),
-        mode=config.encoder_mode, margin=config.margin,
-        structure_weight=config.structure_weight,
-        masks=masks, want_grads=False,
-    )
-    return loss, pattern
-
-
-def backward(
-    typing_batch: Sequence[PreparedMention] | None,
-    structure_batch: Sequence[StructurePair] | None,
-    params: ModelParams,
-    config: TrainConfig,
-    masks: Sequence[DropoutMasks] | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Combined loss and its exact analytic gradients for every tensor.
-
-    Tensors that do not participate (CNN filters in mention-only mode, the
-    structure machinery at structure_weight 0) get exact zero gradients.
-    """
-    loss, grads, _ = _forward_backward(
-        typing_batch, structure_batch, params,
-        mention_kind=config.mention_score_kind,
-        structure_kind=config.effective_structure_kind(),
-        mode=config.encoder_mode, margin=config.margin,
-        structure_weight=config.structure_weight,
-        masks=masks, want_grads=True,
-    )
-    assert grads is not None
-    return loss, grads
+    return float(total), out, b"".join(parts) if pattern else None
 
 
 # ----------------------------------------------------------------------
@@ -803,7 +720,6 @@ def train(
     pool = structure_pool(hierarchy)
     if config.structure_weight > 0 and not pool:
         raise TrainingError("structure_weight is positive but no type has ancestors")
-    structure_kind = config.effective_structure_kind()
 
     history: list[EpochMetrics] = []
     best_params = params.copy()
@@ -819,20 +735,13 @@ def train(
             sbatch = None
             if config.structure_weight > 0:
                 sbatch = _sample_structure_batch(pool, config.structure_batch_size, struct_rng)
-            loss, grads, _ = _forward_backward(
-                prepared, sbatch, params,
-                mention_kind=config.mention_score_kind,
-                structure_kind=structure_kind,
-                mode=config.encoder_mode, margin=config.margin,
-                structure_weight=config.structure_weight,
-                masks=masks, want_grads=True,
-            )
+            value, grads, _ = loss(prepared, sbatch, params, config, masks, grads=True)
             adam_step(
                 tensors, grads, state,
                 lr=config.learning_rate,
                 beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps,
             )
-            losses.append(loss)
+            losses.append(value)
         train_loss = sum(losses) / len(losses)
         report = evaluate_model(
             dev_examples, params, emb, config.encoder_mode, config.mention_score_kind

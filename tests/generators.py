@@ -1,10 +1,11 @@
-"""Random instance generators shared by unit and acceptance tests."""
+"""Random instance generators and small model builders shared by unit and
+acceptance tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from hiertype import EncoderParams, ModelParams
+from hiertype import EncoderParams, ModelParams, TrainConfig, loss
 
 LINK_KINDS = ("child_of", "fb_fb", "wordnet_hypernym")
 
@@ -86,3 +87,26 @@ def random_sentence(rng: np.random.Generator, d: int, max_len: int = 10,
     t1 = int(rng.integers(n))
     t2 = int(rng.integers(t1, n))
     return wv, (t1, t2)
+
+
+def type_rows_model(type_emb, bilinear=None) -> ModelParams:
+    """A model whose live tensors are the given type rows and an optional
+    bilinear matrix; its encoder is all zeros and never read by the
+    structure loss."""
+    type_emb = np.asarray(type_emb, dtype=np.float64)
+    d = type_emb.shape[1]
+    enc = EncoderParams(
+        cnn_w=np.zeros((1, d, d)), cnn_b=np.zeros(d),
+        w1=np.zeros((d, 2 * d)), b1=np.zeros(d),
+        w2=np.zeros((d, d)), b2=np.zeros(d),
+    )
+    return ModelParams(encoder=enc, type_emb=type_emb, bilinear=bilinear)
+
+
+def structure_only_loss(pairs, type_emb, kind, bilinear=None, margin=1.0) -> float:
+    """The structure loss of (type, ancestors) pairs over the given type
+    rows, read from ``loss`` at structure_weight 1 with no typing batch."""
+    model = type_rows_model(type_emb, bilinear)
+    cfg = TrainConfig(dim=model.type_emb.shape[1], filter_width=1, mention_score_kind=kind,
+                      margin=margin, structure_weight=1.0)
+    return loss(None, pairs, model, cfg)[0]

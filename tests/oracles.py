@@ -45,7 +45,7 @@ def neg_log_one_minus_sigmoid(z: float) -> float:
 # encoder forward, scalar loops
 
 
-def cnn_forward(cnn_w, cnn_b, word_vectors) -> list[float]:
+def cnn_pool(cnn_w, cnn_b, word_vectors) -> list[float]:
     """Width-w CNN with centered windows, zero out-of-range reads, ReLU,
     and elementwise max-pooling.  Sentences shorter than w are zero-padded
     to length w with the tokens centered."""
@@ -96,7 +96,7 @@ def encode(cnn_w, cnn_b, w1, b1, w2, b2, word_vectors, span, use_cnn,
     d = len(b2)
     sfm = surface_average(word_vectors, span)
     if use_cnn:
-        pooled = cnn_forward(cnn_w, cnn_b, word_vectors)
+        pooled = cnn_pool(cnn_w, cnn_b, word_vectors)
     else:
         pooled = [0.0] * d
     concat = sfm + pooled
@@ -156,9 +156,9 @@ def negative_term(kind: str, x, y, bilinear=None, margin=1.0) -> float:
     return neg_log_one_minus_sigmoid(pair_logit(x, y, bilinear if kind == "bilinear" else None))
 
 
-def typing_loss(mentions, type_rows, kind, *, bilinear=None, margin=1.0,
-                cnn_w=None, cnn_b=None, w1=None, b1=None, w2=None, b2=None,
-                use_cnn=True, masks=None) -> float:
+def typing_objective(mentions, type_rows, kind, *, bilinear=None, margin=1.0,
+                     cnn_w=None, cnn_b=None, w1=None, b1=None, w2=None, b2=None,
+                     use_cnn=True, masks=None) -> float:
     """mentions: list of (word_vectors, span, gold index set)."""
     total = 0.0
     for i, (wv, span, gold) in enumerate(mentions):
@@ -174,7 +174,7 @@ def typing_loss(mentions, type_rows, kind, *, bilinear=None, margin=1.0,
     return total / len(mentions)
 
 
-def structure_loss(pairs, type_rows, kind, *, bilinear=None, margin=1.0) -> float:
+def structure_objective(pairs, type_rows, kind, *, bilinear=None, margin=1.0) -> float:
     """pairs: list of (type index, ancestor index set)."""
     total = 0.0
     for t, anc in pairs:

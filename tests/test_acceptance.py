@@ -31,25 +31,22 @@ from hiertype import (
     TrainConfig,
     TypeHierarchy,
     average_precision,
-    backward,
-    combined_loss,
-    combined_loss_with_pattern,
-    cnn_forward,
     derive_cooccurrence_links,
     encode_mention,
     finite_difference_check,
-    order_violation,
+    loss,
     sample_dropout_masks,
-    structure_loss,
     structure_pool,
     train,
 )
 from hiertype.cli import main as cli_main
+from hiertype.model import cnn_forward_cached
 from hiertype.training import AdamState, PreparedMention, adam_step
 
 import oracles
 import synthtask
-from generators import random_dag_links, random_encoder, random_entity_table, random_model
+from generators import (random_dag_links, random_encoder, random_entity_table, random_model,
+                        structure_only_loss)
 
 
 VERDICTS: list[str] = []
@@ -142,11 +139,12 @@ def test_c1_gradients_match_finite_differences():
                             mention_score_kind=kind, structure_score_kind=skind,
                             margin=1.0, structure_weight=lam, dropout=0.0,
                         )
-                        _, grads = backward(typing, sbatch, params, cfg)
+                        _, grads, _ = loss(typing, sbatch, params, cfg, grads=True)
 
                         def loss_fn(tensors):
                             p = ModelParams.from_tensors(tensors)
-                            return combined_loss_with_pattern(typing, sbatch, p, cfg)
+                            value, _, pattern = loss(typing, sbatch, p, cfg, pattern=True)
+                            return value, pattern
 
                         rep = finite_difference_check(
                             loss_fn, params.tensors(), grads, epsilon=1e-5)
@@ -182,9 +180,9 @@ def test_c2_forward_computations_match_scalar_oracles():
             enc = random_encoder(rng, d, w)
             n = int(rng.integers(1, 8))
             wv = rng.normal(scale=0.8, size=(n, d))
-            got = cnn_forward(enc, wv)
-            want = oracles.cnn_forward(enc.cnn_w, enc.cnn_b, wv)
-            assert vec_within(got, want), f"cnn_forward instance {i}"
+            got = cnn_forward_cached(enc, wv).out
+            want = oracles.cnn_pool(enc.cnn_w, enc.cnn_b, wv)
+            assert vec_within(got, want), f"cnn instance {i}"
             checked += 1
 
         for i in range(100):
@@ -234,15 +232,15 @@ def test_c2_forward_computations_match_scalar_oracles():
             cfg = TrainConfig(dim=d, filter_width=w, encoder_mode=mode,
                               mention_score_kind=kind, margin=margin,
                               structure_weight=0.0, dropout=0.0)
-            got = combined_loss(batch, None, params, cfg, masks)
-            want = oracles.typing_loss(
+            got = loss(batch, None, params, cfg, masks)[0]
+            want = oracles.typing_objective(
                 [(pm.word_vectors, pm.span, set(pm.gold)) for pm in batch],
                 params.type_emb, kind.value, bilinear=params.bilinear, margin=margin,
                 cnn_w=params.encoder.cnn_w, cnn_b=params.encoder.cnn_b,
                 w1=params.encoder.w1, b1=params.encoder.b1,
                 w2=params.encoder.w2, b2=params.encoder.b2,
                 use_cnn=mode is EncoderMode.CNN_PLUS_MENTION, masks=oracle_masks)
-            assert within(got, want), f"typing_loss instance {i}: {got} vs {want}"
+            assert within(got, want), f"typing instance {i}: {got} vs {want}"
             checked += 1
 
         for i in range(100):
@@ -260,10 +258,10 @@ def test_c2_forward_computations_match_scalar_oracles():
                 k = int(rng.integers(1, len(others) + 1))
                 anc = tuple(int(others[j]) for j in rng.choice(len(others), size=k, replace=False))
                 pairs.append((t, anc))
-            got = structure_loss(pairs, t_emb, kind=kind, bilinear=bilinear, margin=margin)
-            want = oracles.structure_loss(pairs, t_emb, kind.value,
-                                          bilinear=bilinear, margin=margin)
-            assert within(got, want), f"structure_loss instance {i}: {got} vs {want}"
+            got = structure_only_loss(pairs, t_emb, kind, bilinear, margin)
+            want = oracles.structure_objective(pairs, t_emb, kind.value,
+                                               bilinear=bilinear, margin=margin)
+            assert within(got, want), f"structure instance {i}: {got} vs {want}"
             checked += 1
 
         info["note"] = f"{checked} random instances, tolerance 1e-12"
@@ -432,8 +430,8 @@ def test_c7_order_embedding_geometry():
 
     def geometry():
         T = params.type_emb
-        worst_pos = max(order_violation(T[t], T[a]) for t, a in pos_pairs)
-        ok = sum(1 for t, u in neg_pairs if order_violation(T[t], T[u]) >= 0.5)
+        worst_pos = max(oracles.order_energy(T[t], T[a]) for t, a in pos_pairs)
+        ok = sum(1 for t, u in neg_pairs if oracles.order_energy(T[t], T[u]) >= 0.5)
         return worst_pos, ok / len(neg_pairs)
 
     with verdict(7, "order geometry") as info:
@@ -442,7 +440,7 @@ def test_c7_order_embedding_geometry():
         steps = 0
         worst_pos, frac_ok = geometry()
         for step in range(1, 2001):
-            _, grads = backward(None, pool, params, cfg)
+            _, grads, _ = loss(None, pool, params, cfg, grads=True)
             adam_step(tensors, grads, state, lr=cfg.learning_rate)
             steps = step
             if step % 25 == 0:

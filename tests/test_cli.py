@@ -102,6 +102,18 @@ def test_stats_json(tmp_path, capsys):
     assert got == {"type_count": 4, "max_depth": 2, "mean_depth": 1.5, "links_child_of": 2}
 
 
+def test_stats_rejects_malformed_ancestors(tmp_path, capsys):
+    links = tmp_path / "links.tsv"
+    links.write_text(LINKS, encoding="utf-8")
+    out = tmp_path / "h.json"
+    assert main(["build-hierarchy", "--links", str(links), "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    data["ancestors"][0] = ["x"]
+    out.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["stats", "--hierarchy", str(out)]) == 2
+    assert f"error: {out}:" in capsys.readouterr().err
+
+
 def test_build_hierarchy_deterministic_and_loadable(tmp_path, capsys):
     links = tmp_path / "links.tsv"
     links.write_text(LINKS, encoding="utf-8")
@@ -261,6 +273,26 @@ def test_eval_rejects_mismatched_hierarchy(task, tmp_path, capsys):
     assert main(["eval", "--model", model, "--corpus", task["dev"],
                  "--hierarchy", str(other)]) == 2
     assert "type inventory" in capsys.readouterr().err
+
+
+def test_eval_rejects_malformed_checkpoint_tensor_list(task, tmp_path, capsys):
+    model = run_train(task)
+    with open(model, "rb") as fh:
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    name, shape = header["tensors"][0]
+    for bad in (None, 5, [[name]], [[7, shape]], [[name, [-1] + shape[1:]]],
+                [[name, [True] + shape[1:]]], [[name, 3]]):
+        if bad is None:
+            del header["tensors"]
+        else:
+            header["tensors"] = bad
+        broken = tmp_path / "broken.ckpt"
+        broken.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + blob)
+        assert main(["eval", "--model", str(broken), "--corpus", task["dev"],
+                     "--hierarchy", task["links"]]) == 2, bad
+        err = capsys.readouterr().err
+        assert f"error: {broken}:" in err and "tensors" in err, (bad, err)
 
 
 def test_eval_rejects_unlabelable_corpus(task, tmp_path, capsys):

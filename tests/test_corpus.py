@@ -18,6 +18,7 @@ from hiertype import (
     read_corpus,
     write_corpus,
 )
+from hiertype.cli import main as cli_main
 
 
 @pytest.fixture
@@ -185,6 +186,24 @@ def test_corpus_errors_carry_line_numbers(tmp_path):
     t.write_text("e1\tzero\t0\ta b\n", encoding="utf-8")
     with pytest.raises(CorpusError):
         read_corpus(str(t))
+
+
+def test_bool_span_endpoints_rejected(tmp_path, capsys):
+    # bool is a subclass of int, so true/false must be refused explicitly
+    for span in ((True, 1), (0, False)):
+        with pytest.raises(CorpusError):
+            Mention(tokens=("a", "b"), span=span)
+    links = tmp_path / "links.tsv"
+    links.write_text("cat\tanimal\tchild_of\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"tokens":["a","cat"],"span":[1,1],"types":["cat"]}\n'
+                      '{"tokens":["a","cat"],"span":[true,1],"types":["cat"]}\n',
+                      encoding="utf-8")
+    out = tmp_path / "labeled.jsonl"
+    assert cli_main(["label", "--hierarchy", str(links), "--corpus", str(corpus),
+                     "--out", str(out)]) == 2
+    assert f"{corpus}:2:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_jsonl_rejects_non_object_and_bad_fields(tmp_path):

@@ -14,7 +14,6 @@ from hiertype import (
     LinkKind,
     TypeHierarchy,
     UnknownTypeError,
-    candidate_synsets,
     derive_cooccurrence_links,
     load_hierarchy,
     write_links,
@@ -256,6 +255,11 @@ def test_bad_payloads_rejected():
         TypeHierarchy.from_dict({"format": "hiertype-hierarchy", "version": 99})
     with pytest.raises(HierarchyError):
         TypeHierarchy.from_dict({"format": "hiertype-hierarchy", "version": 1, "types": ["a"]})
+    data = build([("a", "b", "child_of")]).to_dict()
+    for bad in ([["x"], []], 5, [5, []], [[None], []]):
+        data["ancestors"] = bad
+        with pytest.raises(HierarchyError, match="^h.json: malformed"):
+            TypeHierarchy.from_dict(data, source="h.json")
 
 
 def test_load_sniffs_json_vs_links(tmp_path):
@@ -332,28 +336,6 @@ def test_closure_is_idempotent_and_monotone(seed):
     once = h.closure(subset)
     assert set(h.closure(once)) == set(once)
     assert set(h.closure(subset[:1])) <= set(once)
-
-
-# ----------------------------------------------------------------------
-# synset candidates
-
-
-def test_candidate_synsets_substring_both_ways():
-    synsets = ["person", "person_name", "award", "location"]
-    assert candidate_synsets("/people/person", synsets) == ["person", "person_name"]
-    assert candidate_synsets("/music/music_award", synsets) == ["award"]
-
-
-def test_candidate_synsets_normalization():
-    assert candidate_synsets("/tv/TV-Program", ["tv program", "radio"]) == ["tv program"]
-    assert candidate_synsets("/a/b_c", ["B C", "b-c", "x"]) == ["B C", "b-c"]
-
-
-def test_candidate_synsets_edge_cases():
-    with pytest.raises(HierarchyError):
-        candidate_synsets("", ["x"])
-    assert candidate_synsets("///", ["x"]) == []
-    assert candidate_synsets("plain", []) == []
 
 
 # ----------------------------------------------------------------------

@@ -14,25 +14,21 @@ from hiertype import (
     ModelParams,
     ScoreKind,
     SIGMOID_CLAMP,
-    cnn_forward,
     encode_mention,
-    encode_vectors,
     load_checkpoint,
     log_sigmoid,
     neg_log_one_minus_sigmoid,
-    order_violation,
-    penalty_non_membership,
     rank_types,
     sample_dropout_masks,
     save_checkpoint,
     score_all_types,
-    score_membership,
     sigmoid,
     surface_average,
 )
+from hiertype.model import cnn_forward_cached, encode_vectors_cached
 
 import oracles
-from generators import random_encoder, random_model, random_sentence
+from generators import random_encoder, random_model, random_sentence, structure_only_loss
 
 
 def zero_encoder(d=3, w=3):
@@ -105,7 +101,7 @@ def test_width_one_cnn_is_per_token_affine():
     d = 4
     p = random_encoder(rng, d, w=1)
     wv = rng.normal(size=(5, d))
-    got = cnn_forward(p, wv)
+    got = cnn_forward_cached(p, wv).out
     per_token = np.maximum(wv @ p.cnn_w[0] + p.cnn_b, 0.0)
     assert np.allclose(got, per_token.max(axis=0), rtol=1e-12, atol=1e-12)
 
@@ -116,7 +112,7 @@ def test_single_token_lands_on_the_last_tap():
     p = random_encoder(rng, d, w=3)
     p.cnn_b = np.full(d, 0.2)  # keep some outputs off the ReLU floor
     v = rng.normal(size=(1, d))
-    got = cnn_forward(p, v)
+    got = cnn_forward_cached(p, v).out
     # padded to [0, v, 0]; the single window is placed at the first padded
     # slot, so its taps read [out-of-range zero, pad zero, v]
     expect = np.maximum(v[0] @ p.cnn_w[2] + p.cnn_b, 0.0)
@@ -131,7 +127,7 @@ def test_two_token_sentence_under_width_three():
     # padded to [v0, v1, 0]; the single window reads [oob zero, v0, v1],
     # so the tokens land on taps 1 and 2 and the right pad is never read
     expect = np.maximum(wv[0] @ p.cnn_w[1] + wv[1] @ p.cnn_w[2] + p.cnn_b, 0.0)
-    assert np.allclose(cnn_forward(p, wv), expect, atol=1e-15)
+    assert np.allclose(cnn_forward_cached(p, wv).out, expect, atol=1e-15)
 
 
 def test_boundary_windows_read_zeros():
@@ -139,8 +135,8 @@ def test_boundary_windows_read_zeros():
     d = 3
     p = random_encoder(rng, d, w=3)
     wv = rng.normal(size=(4, d))
-    cache_out = cnn_forward(p, wv)
-    oracle = oracles.cnn_forward(p.cnn_w, p.cnn_b, wv)
+    cache_out = cnn_forward_cached(p, wv).out
+    oracle = oracles.cnn_pool(p.cnn_w, p.cnn_b, wv)
     assert np.allclose(cache_out, oracle, atol=1e-15)
     # n - w + 1 = 2 windows: window 0 hangs one slot off the left edge
     # (reading a zero there), window 1 is fully in range
@@ -153,7 +149,7 @@ def test_all_negative_preactivations_pool_to_zero():
     d = 3
     p = zero_encoder(d=d)
     p.cnn_b = np.full(d, -1.0)
-    assert np.array_equal(cnn_forward(p, np.ones((4, d))), np.zeros(d))
+    assert np.array_equal(cnn_forward_cached(p, np.ones((4, d))).out, np.zeros(d))
 
 
 def test_cnn_matches_oracle_on_random_instances():
@@ -163,8 +159,8 @@ def test_cnn_matches_oracle_on_random_instances():
         w = int(rng.choice([1, 3, 5]))
         p = random_encoder(rng, d, w)
         wv, _ = random_sentence(rng, d)
-        assert np.allclose(cnn_forward(p, wv),
-                           oracles.cnn_forward(p.cnn_w, p.cnn_b, wv), atol=1e-13)
+        assert np.allclose(cnn_forward_cached(p, wv).out,
+                           oracles.cnn_pool(p.cnn_w, p.cnn_b, wv), atol=1e-13)
 
 
 def test_surface_average_inclusive_span():
@@ -183,7 +179,7 @@ def test_encode_matches_oracle_both_modes():
             d = int(rng.integers(1, 5))
             p = random_encoder(rng, d, w=3)
             wv, span = random_sentence(rng, d)
-            got = encode_vectors(p, wv, span, mode)
+            got = encode_vectors_cached(p, wv, span, mode).out
             want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2,
                                   wv, span, use_cnn=(mode is EncoderMode.CNN_PLUS_MENTION))
             assert np.allclose(got, want, atol=1e-13)
@@ -193,7 +189,7 @@ def test_zero_weights_encode_to_b2():
     d = 3
     p = zero_encoder(d=d)
     p.b2 = np.array([1.0, -2.0, 3.0])
-    out = encode_vectors(p, np.ones((4, d)), (1, 2), EncoderMode.CNN_PLUS_MENTION)
+    out = encode_vectors_cached(p, np.ones((4, d)), (1, 2), EncoderMode.CNN_PLUS_MENTION).out
     assert np.array_equal(out, p.b2)
 
 
@@ -205,12 +201,12 @@ def test_mention_only_ignores_context_tokens():
     changed = wv.copy()
     changed[0] += 5.0
     changed[5] -= 3.0
-    a = encode_vectors(p, wv, (2, 3), EncoderMode.MENTION_ONLY)
-    b = encode_vectors(p, changed, (2, 3), EncoderMode.MENTION_ONLY)
+    a = encode_vectors_cached(p, wv, (2, 3), EncoderMode.MENTION_ONLY).out
+    b = encode_vectors_cached(p, changed, (2, 3), EncoderMode.MENTION_ONLY).out
     assert np.array_equal(a, b)
     # the CNN view does depend on context
-    c = encode_vectors(p, wv, (2, 3), EncoderMode.CNN_PLUS_MENTION)
-    e = encode_vectors(p, changed, (2, 3), EncoderMode.CNN_PLUS_MENTION)
+    c = encode_vectors_cached(p, wv, (2, 3), EncoderMode.CNN_PLUS_MENTION).out
+    e = encode_vectors_cached(p, changed, (2, 3), EncoderMode.CNN_PLUS_MENTION).out
     assert not np.allclose(c, e)
 
 
@@ -222,13 +218,14 @@ def test_encode_mention_uses_embedding_lookup():
     m = Mention(tokens=("the", "cat", "sat"), span=(1, 1))
     got = encode_mention(p, m, emb, EncoderMode.CNN_PLUS_MENTION)
     wv = np.stack([np.zeros(d), emb.lookup("cat"), emb.lookup("sat")])
-    assert np.array_equal(got, encode_vectors(p, wv, (1, 1), EncoderMode.CNN_PLUS_MENTION))
+    want = encode_vectors_cached(p, wv, (1, 1), EncoderMode.CNN_PLUS_MENTION).out
+    assert np.array_equal(got, want)
 
 
 def test_empty_sentence_rejected():
     p = zero_encoder()
     with pytest.raises(ModelError):
-        encode_vectors(p, np.zeros((0, 3)), (0, 0), EncoderMode.MENTION_ONLY)
+        encode_vectors_cached(p, np.zeros((0, 3)), (0, 0), EncoderMode.MENTION_ONLY)
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +242,8 @@ def test_dropout_zero_probability_is_identity():
     wv, span = random_sentence(rng, d)
     m0 = sample_dropout_masks(rng, dim=d, p=0.0)
     assert np.array_equal(
-        encode_vectors(p, wv, span, EncoderMode.CNN_PLUS_MENTION, m0),
-        encode_vectors(p, wv, span, EncoderMode.CNN_PLUS_MENTION, None),
+        encode_vectors_cached(p, wv, span, EncoderMode.CNN_PLUS_MENTION, m0).out,
+        encode_vectors_cached(p, wv, span, EncoderMode.CNN_PLUS_MENTION, None).out,
     )
 
 
@@ -271,7 +268,7 @@ def test_dropout_masks_match_oracle_encode():
     p = random_encoder(rng, d, w=3)
     wv, span = random_sentence(rng, d)
     masks = sample_dropout_masks(rng, dim=d, p=0.5)
-    got = encode_vectors(p, wv, span, EncoderMode.CNN_PLUS_MENTION, masks)
+    got = encode_vectors_cached(p, wv, span, EncoderMode.CNN_PLUS_MENTION, masks).out
     want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2, wv, span,
                           use_cnn=True, concat_mask=masks.concat, hidden_mask=masks.hidden)
     assert np.allclose(got, want, atol=1e-13)
@@ -281,46 +278,62 @@ def test_dropout_masks_match_oracle_encode():
 # pair scoring
 
 
+def score(kind, x, y, bilinear=None):
+    """Membership score of x in the single type row y."""
+    return float(score_all_types(kind, x, np.asarray(y)[None, :], bilinear)[0])
+
+
+def penalty(kind, x, y, bilinear=None, margin=1.0):
+    """Non-membership penalty of x against y as the loss charges it.
+
+    Type 0 (= x) is its own only ancestor, so over rows [x, y] the structure
+    loss is its self term plus the penalty against y, and over [x] it is
+    the self term alone."""
+    pair = [(0, (0,))]
+    return (structure_only_loss(pair, [x, y], kind, bilinear, margin)
+            - structure_only_loss(pair, [x], kind, bilinear, margin))
+
+
 def test_order_violation_zero_iff_dominating():
     x = np.array([2.0, 3.0])
-    assert order_violation(x, np.array([1.0, 3.0])) == 0.0
-    assert order_violation(x, np.array([3.0, 2.0])) == 1.0  # only the first coord violates
-    assert order_violation(np.zeros(2), np.array([1.0, 2.0])) == 5.0
+    energy = -score_all_types(ScoreKind.ORDER, x, np.array([[1.0, 3.0], [3.0, 2.0]]))
+    assert energy[0] == 0.0
+    assert energy[1] == 1.0  # only the first coord violates
+    assert score(ScoreKind.ORDER, np.zeros(2), np.array([1.0, 2.0])) == -5.0
 
 
 def test_order_score_and_penalty():
     x, y = np.array([2.0, 2.0]), np.array([1.0, 1.0])
-    assert score_membership(ScoreKind.ORDER, x, y) == 0.0
+    assert score(ScoreKind.ORDER, x, y) == 0.0
     # a perfectly satisfied pair pays the full margin as a negative
-    assert penalty_non_membership(ScoreKind.ORDER, x, y, margin=1.0) == 1.0
+    assert penalty(ScoreKind.ORDER, x, y, margin=1.0) == 1.0
     far = np.array([5.0, 5.0])
-    assert score_membership(ScoreKind.ORDER, x, far) == -18.0
-    assert penalty_non_membership(ScoreKind.ORDER, x, far, margin=1.0) == 0.0
+    assert score(ScoreKind.ORDER, x, far) == -18.0
+    assert penalty(ScoreKind.ORDER, x, far, margin=1.0) == 0.0
     with pytest.raises(ModelError):
-        penalty_non_membership(ScoreKind.ORDER, x, y, margin=0.0)
+        penalty(ScoreKind.ORDER, x, y, margin=0.0)
 
 
 def test_dot_score_orthogonal_vectors():
     x, y = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-    assert score_membership(ScoreKind.DOT, x, y) == pytest.approx(-math.log(2), abs=1e-15)
-    assert penalty_non_membership(ScoreKind.DOT, x, y) == pytest.approx(math.log(2), abs=1e-15)
+    assert score(ScoreKind.DOT, x, y) == pytest.approx(-math.log(2), abs=1e-15)
+    assert penalty(ScoreKind.DOT, x, y) == pytest.approx(math.log(2), abs=1e-15)
 
 
 def test_bilinear_identity_equals_dot():
     rng = np.random.default_rng(13)
     x, y = rng.normal(size=3), rng.normal(size=3)
     eye = np.eye(3)
-    assert score_membership(ScoreKind.BILINEAR, x, y, eye) == score_membership(ScoreKind.DOT, x, y)
-    assert penalty_non_membership(ScoreKind.BILINEAR, x, y, eye) == \
-        penalty_non_membership(ScoreKind.DOT, x, y)
+    assert score(ScoreKind.BILINEAR, x, y, eye) == score(ScoreKind.DOT, x, y)
+    assert penalty(ScoreKind.BILINEAR, x, y, eye) == penalty(ScoreKind.DOT, x, y)
 
 
 def test_bilinear_requires_matrix():
     x = np.ones(3)
     with pytest.raises(ModelError):
-        score_membership(ScoreKind.BILINEAR, x, x)
+        score(ScoreKind.BILINEAR, x, x)
     with pytest.raises(ModelError):
-        penalty_non_membership(ScoreKind.BILINEAR, x, x)
+        penalty(ScoreKind.BILINEAR, x, x)
     with pytest.raises(ModelError):
         score_all_types(ScoreKind.BILINEAR, x, np.ones((2, 3)))
 
@@ -330,9 +343,9 @@ def test_penalties_are_nonnegative():
     for _ in range(50):
         x, y = rng.normal(size=4), rng.normal(size=4)
         A = rng.normal(size=(4, 4))
-        assert penalty_non_membership(ScoreKind.ORDER, x, y, margin=0.5) >= 0.0
-        assert penalty_non_membership(ScoreKind.BILINEAR, x, y, A) >= 0.0
-        assert penalty_non_membership(ScoreKind.DOT, x, y) >= 0.0
+        assert penalty(ScoreKind.ORDER, x, y, margin=0.5) >= 0.0
+        assert penalty(ScoreKind.BILINEAR, x, y, A) >= 0.0
+        assert penalty(ScoreKind.DOT, x, y) >= 0.0
 
 
 def test_score_all_types_matches_pairwise():
@@ -343,7 +356,8 @@ def test_score_all_types_matches_pairwise():
     for kind, mat in ((ScoreKind.ORDER, None), (ScoreKind.DOT, None), (ScoreKind.BILINEAR, A)):
         rows = score_all_types(kind, m, T, mat)
         for i in range(6):
-            assert rows[i] == pytest.approx(score_membership(kind, m, T[i], mat), abs=1e-12)
+            assert rows[i] == pytest.approx(-oracles.positive_term(kind.value, m, T[i], mat),
+                                            abs=1e-12)
 
 
 def test_scores_match_scalar_oracle():
@@ -351,11 +365,11 @@ def test_scores_match_scalar_oracle():
     for _ in range(30):
         x, y = rng.normal(size=3), rng.normal(size=3)
         A = rng.normal(size=(3, 3))
-        assert score_membership(ScoreKind.ORDER, x, y) == pytest.approx(
+        assert score(ScoreKind.ORDER, x, y) == pytest.approx(
             -oracles.order_energy(x, y), abs=1e-12)
-        assert score_membership(ScoreKind.DOT, x, y) == pytest.approx(
+        assert score(ScoreKind.DOT, x, y) == pytest.approx(
             -oracles.positive_term("dot", x, y), abs=1e-12)
-        assert penalty_non_membership(ScoreKind.BILINEAR, x, y, A) == pytest.approx(
+        assert penalty(ScoreKind.BILINEAR, x, y, A) == pytest.approx(
             oracles.negative_term("bilinear", x, y, A), abs=1e-12)
 
 

@@ -18,27 +18,23 @@ from hiertype import (
     TrainingError,
     TypeHierarchy,
     adam_step,
-    backward,
-    combined_loss,
-    combined_loss_with_pattern,
     config_from_strings,
     finite_difference_check,
     glorot_init,
     init_model,
     load_train_config,
+    loss,
     make_checkpoint,
     prepare_typing_batch,
     sample_dropout_masks,
-    structure_loss,
     structure_pool,
     train,
-    typing_loss,
     write_history,
 )
 from hiertype.training import EpochMetrics, PreparedMention, _sample_structure_batch
 
 import oracles
-from generators import random_model, random_sentence
+from generators import random_model, random_sentence, structure_only_loss
 
 
 def small_config(**kw):
@@ -56,6 +52,11 @@ def zero_params(d=3, n_types=4, kind=ScoreKind.DOT):
     )
     return ModelParams(encoder=enc, type_emb=np.zeros((n_types, d)),
                        bilinear=np.eye(d) if kind is ScoreKind.BILINEAR else None)
+
+
+def typing_only_loss(batch, params, emb, *, kind, mode, margin=1.0, masks=None):
+    cfg = TrainConfig(dim=emb.dim, encoder_mode=mode, mention_score_kind=kind, margin=margin)
+    return loss(prepare_typing_batch(batch, emb), None, params, cfg, masks)[0]
 
 
 def toy_examples(hier, names_and_golds, n_tokens=3):
@@ -232,7 +233,8 @@ def test_typing_loss_zero_params_is_n_log_two():
     emb = EmbeddingTable(["w00"], np.ones((1, d)))
     hier = TypeHierarchy.from_links([], types=[f"t{i}" for i in range(n_types)])
     batch = toy_examples(hier, [["t0"], ["t1", "t2"]])
-    got = typing_loss(batch, params, emb, kind=ScoreKind.DOT, mode=EncoderMode.CNN_PLUS_MENTION)
+    got = typing_only_loss(batch, params, emb, kind=ScoreKind.DOT,
+                           mode=EncoderMode.CNN_PLUS_MENTION)
     # every logit is 0: gold terms and non-gold penalties are all log 2
     assert got == pytest.approx(n_types * math.log(2.0), abs=1e-12)
 
@@ -256,8 +258,8 @@ def test_typing_loss_matches_oracle():
                 batch.append(LabeledExample(
                     mention=Mention(tokens=tokens, span=(t1, t2)),
                     gold_types=hier.closure(gold)))
-            got = typing_loss(batch, params, emb, kind=kind, mode=mode, margin=1.25)
-            want = oracles.typing_loss(
+            got = typing_only_loss(batch, params, emb, kind=kind, mode=mode, margin=1.25)
+            want = oracles.typing_objective(
                 [(emb.vectors(ex.mention.tokens), ex.mention.span,
                   {t.index for t in ex.gold_types}) for ex in batch],
                 params.type_emb, kind.value,
@@ -279,9 +281,9 @@ def test_typing_loss_with_dropout_matches_oracle():
     hier = TypeHierarchy.from_links([], types=["t0", "t1", "t2", "t3"])
     batch = toy_examples(hier, [["t0"], ["t3"]], n_tokens=2)
     masks = [sample_dropout_masks(rng, d, 0.5) for _ in batch]
-    got = typing_loss(batch, params, emb, kind=ScoreKind.DOT,
-                      mode=EncoderMode.CNN_PLUS_MENTION, masks=masks)
-    want = oracles.typing_loss(
+    got = typing_only_loss(batch, params, emb, kind=ScoreKind.DOT,
+                           mode=EncoderMode.CNN_PLUS_MENTION, masks=masks)
+    want = oracles.typing_objective(
         [(emb.vectors(ex.mention.tokens), ex.mention.span,
           {t.index for t in ex.gold_types}) for ex in batch],
         params.type_emb, "dot",
@@ -297,7 +299,7 @@ def test_typing_loss_with_dropout_matches_oracle():
 def test_structure_loss_excludes_self_from_negatives():
     # four 2-d types; pair (2, {0, 1}) leaves exactly one negative: type 3
     T = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]])
-    got = structure_loss([(2, (0, 1))], T, kind=ScoreKind.DOT)
+    got = structure_only_loss([(2, (0, 1))], T, ScoreKind.DOT)
     want = (-oracles.log_sigmoid(T[2] @ T[0])
             - oracles.log_sigmoid(T[2] @ T[1])
             + oracles.neg_log_one_minus_sigmoid(T[2] @ T[3]))
@@ -313,8 +315,8 @@ def test_structure_loss_matches_oracle():
     A = rng.normal(size=(3, 3))
     batch = [(0, (1, 2)), (3, (2,)), (5, (0, 1, 2, 6))]
     for kind, mat in ((ScoreKind.ORDER, None), (ScoreKind.DOT, None), (ScoreKind.BILINEAR, A)):
-        got = structure_loss(batch, T, kind=kind, bilinear=mat, margin=0.8)
-        want = oracles.structure_loss(
+        got = structure_only_loss(batch, T, kind, mat, margin=0.8)
+        want = oracles.structure_objective(
             [(t, set(anc)) for t, anc in batch], T, kind.value, bilinear=mat, margin=0.8)
         assert got == pytest.approx(want, abs=1e-12 * max(1.0, abs(want)))
 
@@ -323,15 +325,15 @@ def test_structure_loss_zero_for_perfect_order_embedding():
     # 1-d chain: 2 below 1 below 0, coordinates grow downward
     T = np.array([[0.0], [1.0], [2.0]])
     batch = [(1, (0,)), (2, (0, 1))]
-    assert structure_loss(batch, T, kind=ScoreKind.ORDER, margin=1.0) == 0.0
+    assert structure_only_loss(batch, T, ScoreKind.ORDER, margin=1.0) == 0.0
 
 
 def test_structure_loss_errors():
     T = np.zeros((3, 2))
     with pytest.raises(TrainingError):
-        structure_loss([], T, kind=ScoreKind.DOT)
+        structure_only_loss([], T, ScoreKind.DOT)
     with pytest.raises(TrainingError):
-        structure_loss([(0, ())], T, kind=ScoreKind.DOT)
+        structure_only_loss([(0, ())], T, ScoreKind.DOT)
 
 
 def test_structure_pool_lists_types_with_ancestors():
@@ -356,9 +358,9 @@ def test_combined_loss_is_typing_plus_weighted_structure():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR,
                        structure_score_kind=ScoreKind.ORDER,
                        structure_weight=0.7, margin=1.1)
-    got = combined_loss(prepared, sbatch, params, cfg)
-    typing_only = combined_loss(prepared, None, params, cfg)
-    structure_only = structure_loss(sbatch, params.type_emb, kind=ScoreKind.ORDER, margin=1.1)
+    got = loss(prepared, sbatch, params, cfg)[0]
+    typing_only = loss(prepared, None, params, cfg)[0]
+    structure_only = structure_only_loss(sbatch, params.type_emb, ScoreKind.ORDER, margin=1.1)
     assert got == pytest.approx(typing_only + 0.7 * structure_only, abs=1e-12)
 
 
@@ -369,8 +371,8 @@ def test_structure_batch_ignored_at_zero_weight():
     wv, span = random_sentence(rng, d)
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(1,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT, structure_weight=0.0)
-    with_batch = combined_loss(prepared, [(0, (1,))], params, cfg)
-    without = combined_loss(prepared, None, params, cfg)
+    with_batch = loss(prepared, [(0, (1,))], params, cfg)[0]
+    without = loss(prepared, None, params, cfg)[0]
     assert with_batch == without
 
 
@@ -390,7 +392,7 @@ def test_backward_closed_form_for_degenerate_encoder():
         for g in golds
     ]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT)
-    loss, grads = backward(prepared, None, params, cfg)
+    value, grads, _ = loss(prepared, None, params, cfg, grads=True)
 
     b2 = params.encoder.b2
     u = params.type_emb @ b2
@@ -405,7 +407,7 @@ def test_backward_closed_form_for_degenerate_encoder():
     for name in ("cnn_w", "cnn_b", "w1", "b1", "w2"):
         assert np.count_nonzero(grads[name]) == 0, name
     want_loss = (-np.log(s[None, :]) * G - np.log(1 - s)[None, :] * (1 - G)).sum() / m
-    assert loss == pytest.approx(want_loss, abs=1e-12)
+    assert value == pytest.approx(want_loss, abs=1e-12)
 
 
 def test_backward_zero_structure_weight_means_zero_structure_grads():
@@ -415,8 +417,8 @@ def test_backward_zero_structure_weight_means_zero_structure_grads():
     wv, span = random_sentence(rng, d)
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(0,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR, structure_weight=0.0)
-    loss_a, grads_a = backward(prepared, [(1, (0,))], params, cfg)
-    loss_b, grads_b = backward(prepared, None, params, cfg)
+    loss_a, grads_a, _ = loss(prepared, [(1, (0,))], params, cfg, grads=True)
+    loss_b, grads_b, _ = loss(prepared, None, params, cfg, grads=True)
     assert loss_a == loss_b
     assert np.count_nonzero(grads_a["bilinear_structure"]) == 0
     for name, g in grads_a.items():
@@ -432,7 +434,7 @@ def test_backward_mention_only_means_zero_cnn_grads():
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(2,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT,
                        encoder_mode=EncoderMode.MENTION_ONLY)
-    _, grads = backward(prepared, None, params, cfg)
+    _, grads, _ = loss(prepared, None, params, cfg, grads=True)
     assert np.count_nonzero(grads["cnn_w"]) == 0
     assert np.count_nonzero(grads["cnn_b"]) == 0
     assert np.count_nonzero(grads["w1"]) and np.count_nonzero(grads["b1"])
@@ -446,11 +448,12 @@ def test_backward_structure_gradient_matches_finite_differences():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR,
                        structure_score_kind=ScoreKind.BILINEAR,
                        structure_weight=1.3, margin=0.9)
-    _, grads = backward(None, sbatch, params, cfg)
+    _, grads, _ = loss(None, sbatch, params, cfg, grads=True)
 
     def loss_fn(tensors):
         p = ModelParams.from_tensors(tensors)
-        return combined_loss_with_pattern(None, sbatch, p, cfg)
+        value, _, pattern = loss(None, sbatch, p, cfg, pattern=True)
+        return value, pattern
 
     report = finite_difference_check(loss_fn, params.tensors(), grads)
     assert report.checked > 0
@@ -461,16 +464,16 @@ def test_backward_rejects_bad_batches():
     params = zero_params()
     cfg = small_config(dim=3, mention_score_kind=ScoreKind.DOT)
     with pytest.raises(TrainingError):
-        backward([], None, params, cfg)
+        loss([], None, params, cfg, grads=True)
     bad = [PreparedMention(word_vectors=np.zeros((2, 3)), span=(0, 0), gold=())]
     with pytest.raises(TrainingError):
-        backward(bad, None, params, cfg)
+        loss(bad, None, params, cfg, grads=True)
     oob = [PreparedMention(word_vectors=np.zeros((2, 3)), span=(0, 0), gold=(9,))]
     with pytest.raises(TrainingError):
-        backward(oob, None, params, cfg)
+        loss(oob, None, params, cfg, grads=True)
     good = [PreparedMention(word_vectors=np.zeros((2, 3)), span=(0, 0), gold=(0,))]
     with pytest.raises(TrainingError):
-        backward(good, None, params, cfg, masks=[])  # mask count mismatch
+        loss(good, None, params, cfg, masks=[], grads=True)  # mask count mismatch
 
 
 def test_prepare_typing_batch():
@@ -537,11 +540,12 @@ def test_fd_check_encoder_kink_at_zero_bias():
     params = zero_params(d=d, n_types=2)
     prepared = [PreparedMention(word_vectors=np.zeros((2, d)), span=(0, 1), gold=(0,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT)
-    _, grads = backward(prepared, None, params, cfg)
+    _, grads, _ = loss(prepared, None, params, cfg, grads=True)
 
     def loss_fn(tensors):
         p = ModelParams.from_tensors(tensors)
-        return combined_loss_with_pattern(prepared, None, p, cfg)
+        value, _, pattern = loss(prepared, None, p, cfg, pattern=True)
+        return value, pattern
 
     tensors = params.tensors()
     report = finite_difference_check(loss_fn, tensors, grads)
