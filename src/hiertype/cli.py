@@ -23,7 +23,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .errors import HiertypeError
+from .errors import HiertypeError, located_decode_errors
 from .evaluation import evaluate_model
 from .hierarchy import (
     EntityTypeTable,
@@ -172,7 +172,7 @@ def _cmd_stats(args) -> int:
 
 def _load_allowed_pairs(path: str) -> set[tuple[str, str]]:
     allowed = set()
-    with open(path, encoding="utf-8") as fh:
+    with located_decode_errors(path, CorpusError), open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -274,7 +274,7 @@ def _cmd_score(args) -> int:
     mention = Mention(tokens=tuple(tokens), span=(args.span[0], args.span[1]))
     if args.top < 1:
         raise UsageError(f"--top must be positive, got {args.top}")
-    m = encode_mention(ckpt.params.encoder, mention, ckpt.embedding_table(), ckpt.encoder_mode)
+    m = encode_mention(ckpt.params.encoder, [mention], ckpt.embedding_table(), ckpt.encoder_mode)[0]
     order, scores = rank_types(ckpt.mention_score_kind, m, ckpt.params.type_emb, ckpt.params.bilinear)
     for i in order[: args.top]:
         print(f"{ckpt.type_names[i]}\t{float(scores[i])!r}")

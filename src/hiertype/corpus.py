@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import HiertypeError
+from .errors import HiertypeError, located_decode_errors
 from .hierarchy import TypeHierarchy, TypeId
 
 log = logging.getLogger(__name__)
@@ -146,7 +146,8 @@ class EmbeddingTable:
         tokens: list[str] = []
         rows: list[list[float]] = []
         seen: set[str] = set()
-        with open(path, encoding="utf-8") as fh:
+        line_nos: list[int] = []
+        with located_decode_errors(path, EmbeddingError), open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
@@ -166,9 +167,15 @@ class EmbeddingTable:
                 seen.add(token)
                 tokens.append(token)
                 rows.append(row)
+                line_nos.append(line_no)
         if not tokens:
             raise EmbeddingError(f"{path}: no embeddings found")
-        return cls(tokens, np.array(rows, dtype=np.float64))
+        matrix = np.array(rows, dtype=np.float64)
+        # min and max propagate nan and reach +-inf without a temporary
+        if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+            bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
+            raise EmbeddingError(f"{path}:{line_nos[bad]}: non-finite value for {tokens[bad]!r}")
+        return cls(tokens, matrix)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +183,7 @@ class EmbeddingTable:
 
 
 def read_corpus(path: str) -> list[CorpusRecord]:
-    with open(path, encoding="utf-8") as fh:
+    with located_decode_errors(path, CorpusError), open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):

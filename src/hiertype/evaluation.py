@@ -17,6 +17,10 @@ from .errors import HiertypeError
 from .model import EncoderMode, ModelParams, ScoreKind, encode_mention, rank_types
 
 
+# mentions per encoder call in evaluate_model: the paper's batch size
+EVAL_BATCH = 32
+
+
 class EvalError(HiertypeError):
     """Unusable evaluation request (empty gold set, empty corpus, bad ranking)."""
 
@@ -73,13 +77,18 @@ def evaluate_model(
     mode: EncoderMode,
     kind: ScoreKind,
 ) -> EvalReport:
-    """Rank every type for each mention (no dropout) and average the APs."""
+    """Rank every type for each mention (no dropout) and average the APs.
+
+    Mentions are encoded EVAL_BATCH at a time, which bounds the encoder's
+    temporaries however large the corpus is."""
     if not examples:
         raise EvalError("empty evaluation set")
     aps = []
-    for ex in examples:
-        m = encode_mention(params.encoder, ex.mention, emb, mode)
-        order, _ = rank_types(kind, m, params.type_emb, params.bilinear)
-        gold = {t.index for t in ex.gold_types}
-        aps.append(average_precision(order.tolist(), gold))
+    for start in range(0, len(examples), EVAL_BATCH):
+        chunk = examples[start:start + EVAL_BATCH]
+        encoded = encode_mention(params.encoder, [ex.mention for ex in chunk], emb, mode)
+        for ex, m in zip(chunk, encoded):
+            order, _ = rank_types(kind, m, params.type_emb, params.bilinear)
+            gold = {t.index for t in ex.gold_types}
+            aps.append(average_precision(order.tolist(), gold))
     return EvalReport(per_mention_ap=tuple(aps), mean_ap=sum(aps) / len(aps), mention_count=len(aps))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import HiertypeError
+from .errors import HiertypeError, located_decode_errors
 
 log = logging.getLogger(__name__)
 
@@ -402,7 +402,7 @@ class TypeHierarchy:
 
     @classmethod
     def load(cls, path: str) -> "TypeHierarchy":
-        with open(path, encoding="utf-8") as fh:
+        with located_decode_errors(path, HierarchyError), open(path, encoding="utf-8") as fh:
             text = fh.read()
         stripped = text.lstrip()
         if stripped.startswith("{"):
@@ -521,7 +521,7 @@ class EntityTypeTable:
     @classmethod
     def load(cls, path: str) -> "EntityTypeTable":
         table: dict[str, set[str]] = {}
-        with open(path, encoding="utf-8") as fh:
+        with located_decode_errors(path, HierarchyError), open(path, encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 s = line.strip()
                 if not s or s.startswith("#"):

@@ -14,6 +14,16 @@ through an affine-ReLU-affine head; in mention-only mode the CNN slot of
 the concatenation is zero-filled.  Word vectors are fixed inputs, not
 parameters.
 
+The encoder runs on a batch of B mentions at once, with no per-mention
+path.  The CNN is one im2col GEMM (Chellapilla et al. 2006): the padded
+sentences are stacked into one zero-framed buffer, the windows of every
+mention are gathered into a ragged (R, w*d) matrix, R = sum_i J_i with
+J_i = max(n_i, w) - w + 1 windows for a sentence of n_i tokens, and
+pre = windows @ W.reshape(w*d, d) + b is (R, d).  Max-pooling scatters
+the ReLU rows into a (B, max J_i, d) grid filled with -1 and takes the
+first argmax per mention and output dim.  The head is two GEMMs over
+(B, 2d) and (B, d) rows, so every encoder output is (B, d).
+
 Scoring a pair (x, y) for "x is a member / descendant of y" comes in three
 kinds.  Order: score = -||max(0, y - x)||^2 and the non-membership penalty
 is the hinge max(0, margin - E).  Bilinear: score = log sigma(x' A y),
@@ -228,12 +238,13 @@ def neg_log_one_minus_sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class CnnCache:
-    """Everything the CNN backward pass needs from the forward pass."""
+    """Everything the CNN backward pass needs from the batched forward pass.
+    R is the total window count of the batch, sum over mentions of J_i."""
 
-    windows: np.ndarray   # (J, w, d) input slices, zeros where out of range
-    active: np.ndarray    # (J, d) bool, pre > 0
-    argmax: np.ndarray    # (d,) first maximizing window per output dim
-    out: np.ndarray       # (d,) pooled ReLU outputs
+    windows: np.ndarray   # (R, w*d) im2col rows, zeros where out of range
+    active: np.ndarray    # (R, d) bool, pre > 0
+    rows: np.ndarray      # (B, d) winning window row per mention and output dim
+    out: np.ndarray       # (B, d) pooled ReLU outputs
 
 
 def _check_word_vectors(word_vectors: np.ndarray, d: int) -> np.ndarray:
@@ -245,31 +256,37 @@ def _check_word_vectors(word_vectors: np.ndarray, d: int) -> np.ndarray:
     return wv
 
 
-def cnn_forward_cached(p: EncoderParams, word_vectors: np.ndarray) -> CnnCache:
+def cnn_forward_cached(p: EncoderParams, word_vectors: Sequence[np.ndarray]) -> CnnCache:
+    """CNN + max-pool over a batch of sentences as one im2col GEMM."""
     w, d = p.filter_width, p.dim
-    wv = _check_word_vectors(word_vectors, d)
-    n = wv.shape[0]
-    if n < w:
-        padded = np.zeros((w, d), dtype=np.float64)
-        left = (w - n) // 2
-        padded[left:left + n] = wv
-    else:
-        padded = wv
-    length = padded.shape[0]
-    j_count = length - w + 1
     half = w // 2
-    windows = np.zeros((j_count, w, d), dtype=np.float64)
-    for k in range(w):
-        shift = k - half  # window j reads padded[j + shift]
-        lo = max(0, -shift)
-        hi = min(j_count, length - shift)
-        if lo < hi:
-            windows[lo:hi, k, :] = padded[lo + shift:hi + shift, :]
-    pre = np.einsum("jki,kio->jo", windows, p.cnn_w) + p.cnn_b
+    sents = [_check_word_vectors(wv, d) for wv in word_vectors]
+    if not sents:
+        raise ModelError("cannot encode an empty batch")
+    # segment i is half zero rows, then sentence i zero-padded (centred) to
+    # at least w rows; windows run j = 0 .. L_i - w, so the last read row is
+    # the segment's own last row and no right-hand frame is needed
+    lengths = np.array([max(len(wv), w) for wv in sents])
+    seg_start = np.concatenate([[0], np.cumsum(lengths + half)])
+    framed = np.zeros((seg_start[-1], d), dtype=np.float64)
+    for i, wv in enumerate(sents):
+        at = seg_start[i] + half + max(w - len(wv), 0) // 2
+        framed[at:at + len(wv)] = wv
+    counts = lengths - w + 1  # J_i windows per sentence
+    first = np.concatenate([[0], np.cumsum(counts)])  # first window row of each mention
+    seg = np.repeat(np.arange(len(sents)), counts)
+    local = np.arange(first[-1]) - first[seg]  # window j within its mention
+    starts = seg_start[seg] + local
+    windows = framed[starts[:, None] + np.arange(w)].reshape(-1, w * d)
+    pre = windows @ p.cnn_w.reshape(w * d, d) + p.cnn_b
     relu = np.maximum(pre, 0.0)
-    argmax = np.argmax(relu, axis=0)  # first max wins on ties
-    out = relu[argmax, np.arange(d)]
-    return CnnCache(windows=windows, active=pre > 0.0, argmax=argmax, out=out)
+    # relu >= 0 beats the -1 fill, and argmax keeps the first maximizing
+    # window per output dim
+    grid = np.full((len(sents), counts.max(), d), -1.0)
+    grid[seg, local] = relu
+    rows = first[:-1, None] + np.argmax(grid, axis=1)
+    out = relu[rows, np.arange(d)]
+    return CnnCache(windows=windows, active=pre > 0.0, rows=rows, out=out)
 
 
 def surface_average(word_vectors: np.ndarray, span: tuple[int, int]) -> np.ndarray:
@@ -283,50 +300,64 @@ def surface_average(word_vectors: np.ndarray, span: tuple[int, int]) -> np.ndarr
 
 @dataclass
 class EncoderCache:
+    """Batched encoder forward state; every array has one row per mention.
+    The masks are 1.0 when the batch runs without dropout."""
+
     cnn: CnnCache | None
-    concat_dropped: np.ndarray  # (2d,)
-    hidden_active: np.ndarray   # (d,) bool, hidden pre-activation > 0
-    hidden_dropped: np.ndarray  # (d,)
-    out: np.ndarray             # (d,)
+    concat_mask: np.ndarray | float  # (B, 2d)
+    hidden_mask: np.ndarray | float  # (B, d)
+    concat_dropped: np.ndarray       # (B, 2d)
+    hidden_active: np.ndarray        # (B, d) bool, hidden pre-activation > 0
+    hidden_dropped: np.ndarray       # (B, d)
+    out: np.ndarray                  # (B, d)
 
 
 def encode_vectors_cached(
     p: EncoderParams,
-    word_vectors: np.ndarray,
-    span: tuple[int, int],
+    word_vectors: Sequence[np.ndarray],
+    spans: Sequence[tuple[int, int]],
     mode: EncoderMode,
-    masks: DropoutMasks | None = None,
+    masks: Sequence[DropoutMasks] | None = None,
 ) -> EncoderCache:
+    """Encode a batch of mentions, given as word vectors and spans."""
     d = p.dim
-    wv = _check_word_vectors(word_vectors, d)
-    sfm = surface_average(wv, span)
+    wvs = [_check_word_vectors(wv, d) for wv in word_vectors]
+    if len(spans) != len(wvs) or (masks is not None and len(masks) != len(wvs)):
+        raise ModelError("need one span and one dropout mask set per sentence")
+    if not wvs:
+        raise ModelError("cannot encode an empty batch")
+    sfm = np.stack([surface_average(wv, span) for wv, span in zip(wvs, spans)])
     if mode is EncoderMode.CNN_PLUS_MENTION:
-        cnn = cnn_forward_cached(p, wv)
+        cnn = cnn_forward_cached(p, wvs)
         m_cnn = cnn.out
     else:
         cnn = None
-        m_cnn = np.zeros(d, dtype=np.float64)
-    concat = np.concatenate([sfm, m_cnn])
-    dropped = concat * masks.concat if masks is not None else concat
-    pre = p.w1 @ dropped + p.b1
-    hidden = np.maximum(pre, 0.0)
-    hidden_dropped = hidden * masks.hidden if masks is not None else hidden
-    out = p.w2 @ hidden_dropped + p.b2
+        m_cnn = np.zeros_like(sfm)
+    concat_mask = hidden_mask = 1.0
+    if masks is not None:
+        concat_mask = np.stack([m.concat for m in masks])
+        hidden_mask = np.stack([m.hidden for m in masks])
+    dropped = np.concatenate([sfm, m_cnn], axis=1) * concat_mask
+    pre = dropped @ p.w1.T + p.b1
+    hidden_dropped = np.maximum(pre, 0.0) * hidden_mask
+    out = hidden_dropped @ p.w2.T + p.b2
     return EncoderCache(
-        cnn=cnn, concat_dropped=dropped, hidden_active=pre > 0.0,
+        cnn=cnn, concat_mask=concat_mask, hidden_mask=hidden_mask,
+        concat_dropped=dropped, hidden_active=pre > 0.0,
         hidden_dropped=hidden_dropped, out=out,
     )
 
 
 def encode_mention(
     p: EncoderParams,
-    mention: Mention,
+    mentions: Sequence[Mention],
     emb: EmbeddingTable,
     mode: EncoderMode,
-    masks: DropoutMasks | None = None,
 ) -> np.ndarray:
-    """Encode one mention into the shared d-dim space."""
-    return encode_vectors_cached(p, emb.vectors(mention.tokens), mention.span, mode, masks).out
+    """Encode a batch of mentions into the shared d-dim space, shape (B, d)."""
+    return encode_vectors_cached(
+        p, [emb.vectors(m.tokens) for m in mentions], [m.span for m in mentions], mode,
+    ).out
 
 
 # ----------------------------------------------------------------------
@@ -367,10 +398,14 @@ def rank_types(
 # ----------------------------------------------------------------------
 # checkpoints
 
-_TENSOR_ORDER = (
-    "cnn_w", "cnn_b", "w1", "b1", "w2", "b2",
-    "type_emb", "bilinear", "bilinear_structure", "word_emb",
-)
+
+def _tensor_shapes(d: int, width: int, n_types: int, n_vocab: int) -> dict[str, list[int]]:
+    """Every tensor a checkpoint may hold, in file order, with its shape."""
+    return {
+        "cnn_w": [width, d, d], "cnn_b": [d], "w1": [d, 2 * d], "b1": [d],
+        "w2": [d, d], "b2": [d], "type_emb": [n_types, d],
+        "bilinear": [d, d], "bilinear_structure": [d, d], "word_emb": [n_vocab, d],
+    }
 
 
 @dataclass
@@ -407,7 +442,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Header JSON line + raw little-endian float64 tensors, fixed order."""
     tensors = dict(ckpt.params.tensors())
     tensors["word_emb"] = ckpt.word_emb
-    names = [n for n in _TENSOR_ORDER if n in tensors]
+    enc = ckpt.params.encoder
+    order = _tensor_shapes(enc.dim, enc.filter_width, ckpt.params.n_types, len(ckpt.vocab))
+    names = [n for n in order if n in tensors]
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -448,6 +485,22 @@ def load_checkpoint(path: str) -> Checkpoint:
     ):
         raise CheckpointError(f"{path}: header 'tensors' must be a list of [name, shape] pairs "
                               "with non-negative integer dimensions")
+    sizes = [header.get(k) for k in ("dim", "filter_width", "n_types")]
+    vocab = header.get("vocab")
+    if not all(type(v) is int and v >= 1 for v in sizes) or not isinstance(vocab, list):
+        raise CheckpointError(f"{path}: header 'dim', 'filter_width' and 'n_types' must be "
+                              "positive integers and 'vocab' a list")
+    expected = _tensor_shapes(*sizes, len(vocab))
+    names = [name for name, _ in specs]
+    if len(set(names)) != len(names):
+        raise CheckpointError(f"{path}: header 'tensors' lists a tensor twice")
+    for name, shape in specs:
+        if name not in expected:
+            raise CheckpointError(f"{path}: unknown tensor {name!r}")
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: tensor {name!r} has shape {shape}, but the header's dim, "
+                f"filter_width, n_types and vocab give {expected[name]}")
     tensors: dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in specs:
@@ -456,6 +509,9 @@ def load_checkpoint(path: str) -> Checkpoint:
         if offset + nbytes > len(blob):
             raise CheckpointError(f"{path}: truncated tensor block for {name!r}")
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        # min and max propagate nan and reach +-inf without a temporary
+        if count and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+            raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
         tensors[name] = arr.reshape(shape).astype(np.float64)
         offset += nbytes
     if offset != len(blob):

@@ -34,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import EmbeddingTable, LabeledExample, batch_iter
-from .errors import HiertypeError
+from .errors import HiertypeError, located_decode_errors
 from .evaluation import evaluate_model
 from .hierarchy import TypeHierarchy
 from .model import (
@@ -193,7 +193,7 @@ def config_from_strings(pairs: Mapping[str, str], base: TrainConfig | None = Non
 def load_train_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
     """Flat ``key=value`` file with ``#`` comments and blank lines."""
     pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with located_decode_errors(path, ConfigError), open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             s = line.strip()
             if not s or s.startswith("#"):
@@ -386,7 +386,7 @@ def _encoder_pattern(cache: EncoderCache) -> list[bytes]:
     parts = [np.packbits(cache.hidden_active).tobytes()]
     if cache.cnn is not None:
         parts.append(np.packbits(cache.cnn.active).tobytes())
-        parts.append(cache.cnn.argmax.astype("<i8").tobytes())
+        parts.append(cache.cnn.rows.astype("<i8").tobytes())
     return parts
 
 
@@ -394,35 +394,29 @@ def _encoder_backward(
     enc: EncoderParams,
     cache: EncoderCache,
     g: np.ndarray,
-    masks: DropoutMasks | None,
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Accumulate d(loss)/d(encoder tensors) for one mention; word vectors
-    are fixed inputs, so the chain stops at the concat layer."""
-    grads["w2"] += np.outer(g, cache.hidden_dropped)
-    grads["b2"] += g
-    dh = enc.w2.T @ g
-    if masks is not None:
-        dh = dh * masks.hidden
-    dpre = dh * cache.hidden_active
-    grads["w1"] += np.outer(dpre, cache.concat_dropped)
-    grads["b1"] += dpre
+    """Accumulate d(loss)/d(encoder tensors) for a batch, given the (B, d)
+    gradient at the encoder outputs; word vectors are fixed inputs, so the
+    chain stops at the concat layer."""
+    grads["w2"] += g.T @ cache.hidden_dropped
+    grads["b2"] += g.sum(axis=0)
+    dpre = (g @ enc.w2) * cache.hidden_mask * cache.hidden_active
+    grads["w1"] += dpre.T @ cache.concat_dropped
+    grads["b1"] += dpre.sum(axis=0)
     if cache.cnn is None:
         return
-    dcat = enc.w1.T @ dpre
-    if masks is not None:
-        dcat = dcat * masks.concat
     d = enc.dim
-    d_pool = dcat[d:]
+    d_pool = ((dpre @ enc.w1) * cache.concat_mask)[:, d:]
     cnn = cache.cnn
     cols = np.arange(d)
-    # max-pool routes each output dim to its first argmax window; a window
-    # whose ReLU is inactive passes nothing
-    alive = cnn.active[cnn.argmax, cols]
-    contrib = np.where(alive, d_pool, 0.0)
-    grads["cnn_b"] += contrib
-    winners = cnn.windows[cnn.argmax]  # (d_out, taps, d_in)
-    grads["cnn_w"] += np.einsum("o,oki->kio", contrib, winners)
+    # max-pool routes each (mention, output dim) to its first argmax window;
+    # a window whose ReLU is inactive passes nothing
+    contrib = np.where(cnn.active[cnn.rows, cols], d_pool, 0.0)
+    grads["cnn_b"] += contrib.sum(axis=0)
+    g_pre = np.zeros(cnn.active.shape, dtype=np.float64)
+    g_pre[cnn.rows, cols] = contrib  # (row, dim) pairs are distinct across the batch
+    grads["cnn_w"] += (cnn.windows.T @ g_pre).reshape(enc.cnn_w.shape)
 
 
 def _structure_masks(
@@ -443,6 +437,54 @@ def _structure_masks(
     neg = ~pos
     neg[np.arange(len(batch)), idx] = False
     return idx, pos, neg
+
+
+def _typing_loss(
+    typing: Sequence[PreparedMention],
+    params: ModelParams,
+    config: TrainConfig,
+    masks: Sequence[DropoutMasks] | None,
+    grads: dict[str, np.ndarray] | None,
+    parts: list[bytes] | None,
+) -> float:
+    """Mean typing loss of one batch.  Adds its gradients into ``grads`` and
+    its kink pattern to ``parts`` when they are given.  The encoder cache
+    and the typing grid are freed on return, before the structure grid
+    allocates its larger buffer."""
+    t_emb = params.type_emb
+    n_types = t_emb.shape[0]
+    m_count = len(typing)
+    if m_count == 0:
+        raise TrainingError("empty typing batch")
+    if masks is not None and len(masks) != m_count:
+        raise TrainingError("need one dropout mask set per mention")
+    for pm in typing:
+        if not pm.gold:
+            raise TrainingError("mention with empty gold set")
+        if max(pm.gold) >= n_types or min(pm.gold) < 0:
+            raise TrainingError("gold type index out of range")
+    cache = encode_vectors_cached(params.encoder, [pm.word_vectors for pm in typing],
+                                  [pm.span for pm in typing], config.encoder_mode, masks)
+    if parts is not None:
+        parts.extend(_encoder_pattern(cache))
+    pos = np.zeros((m_count, n_types), dtype=bool)
+    for i, pm in enumerate(typing):
+        pos[i, list(pm.gold)] = True
+    kind = config.mention_score_kind
+    grid = _membership_grid(
+        kind, cache.out, t_emb,
+        params.bilinear if kind is ScoreKind.BILINEAR else None,
+        config.margin, pos, ~pos, grads is not None, parts is not None,
+    )
+    if parts is not None:
+        parts.extend(grid.pattern)
+    if grads is not None:
+        scale = 1.0 / m_count
+        grads["type_emb"] += scale * grid.d_y
+        if grid.d_a is not None:
+            grads["bilinear"] += scale * grid.d_a
+        _encoder_backward(params.encoder, cache, scale * grid.d_x, grads)
+    return grid.loss_sum / m_count
 
 
 def loss(
@@ -472,42 +514,7 @@ def loss(
     parts: list[bytes] = []
 
     if typing is not None:
-        m_count = len(typing)
-        if m_count == 0:
-            raise TrainingError("empty typing batch")
-        if masks is not None and len(masks) != m_count:
-            raise TrainingError("need one dropout mask set per mention")
-        kind = config.mention_score_kind
-        caches = []
-        for i, pm in enumerate(typing):
-            if not pm.gold:
-                raise TrainingError("mention with empty gold set")
-            if max(pm.gold) >= n_types or min(pm.gold) < 0:
-                raise TrainingError("gold type index out of range")
-            mk = masks[i] if masks is not None else None
-            caches.append(encode_vectors_cached(params.encoder, pm.word_vectors, pm.span,
-                                                config.encoder_mode, mk))
-            if pattern:
-                parts.extend(_encoder_pattern(caches[-1]))
-        mention_mat = np.stack([c.out for c in caches])
-        pos = np.zeros((m_count, n_types), dtype=bool)
-        for i, pm in enumerate(typing):
-            pos[i, list(pm.gold)] = True
-        grid = _membership_grid(
-            kind, mention_mat, t_emb,
-            params.bilinear if kind is ScoreKind.BILINEAR else None,
-            config.margin, pos, ~pos, grads, pattern,
-        )
-        total += grid.loss_sum / m_count
-        parts.extend(grid.pattern)
-        if grads:
-            scale = 1.0 / m_count
-            out["type_emb"] += scale * grid.d_y
-            if grid.d_a is not None:
-                out["bilinear"] += scale * grid.d_a
-            for i, cache in enumerate(caches):
-                mk = masks[i] if masks is not None else None
-                _encoder_backward(params.encoder, cache, scale * grid.d_x[i], mk, out)
+        total += _typing_loss(typing, params, config, masks, out, parts if pattern else None)
 
     weight = config.structure_weight
     if structure is not None and weight != 0.0:

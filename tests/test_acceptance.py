@@ -180,7 +180,7 @@ def test_c2_forward_computations_match_scalar_oracles():
             enc = random_encoder(rng, d, w)
             n = int(rng.integers(1, 8))
             wv = rng.normal(scale=0.8, size=(n, d))
-            got = cnn_forward_cached(enc, wv).out
+            got = cnn_forward_cached(enc, [wv]).out[0]
             want = oracles.cnn_pool(enc.cnn_w, enc.cnn_b, wv)
             assert vec_within(got, want), f"cnn instance {i}"
             checked += 1
@@ -203,7 +203,7 @@ def test_c2_forward_computations_match_scalar_oracles():
             mention = Mention(tokens=tokens, span=(t1, t2))
             use_cnn = i % 2 == 0
             mode = EncoderMode.CNN_PLUS_MENTION if use_cnn else EncoderMode.MENTION_ONLY
-            got = encode_mention(enc, mention, emb, mode)
+            got = encode_mention(enc, [mention], emb, mode)[0]
             wv_manual = [list(row_of[t]) if t in row_of else [0.0] * d for t in tokens]
             want = oracles.encode(enc.cnn_w, enc.cnn_b, enc.w1, enc.b1, enc.w2, enc.b2,
                                   wv_manual, (t1, t2), use_cnn)

@@ -295,6 +295,82 @@ def test_eval_rejects_malformed_checkpoint_tensor_list(task, tmp_path, capsys):
         assert f"error: {broken}:" in err and "tensors" in err, (bad, err)
 
 
+def _rewrite_checkpoint(path, edit):
+    """Apply ``edit(header, blob) -> blob`` to a checkpoint file in place."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        blob = fh.read()
+    blob = edit(header, blob)
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + blob)
+
+
+def _set_header(key, value):
+    def edit(header, blob):
+        header[key] = value
+        return blob
+    return edit
+
+
+def _add_junk_tensor(header, blob):
+    header["tensors"].append(["junk", [2]])
+    return blob + np.zeros(2, dtype="<f8").tobytes()
+
+
+def _poison(index, value):
+    def edit(header, blob):
+        arr = np.frombuffer(blob, dtype="<f8").copy()
+        arr[index] = value
+        return arr.tobytes()
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_header("dim", 999), "tensor 'cnn_w' has shape [3, 4, 4]"),
+    (_set_header("filter_width", 5), "tensor 'cnn_w' has shape [3, 4, 4]"),
+    (_set_header("n_types", 7), "tensor 'type_emb' has shape [4, 4]"),
+    (_set_header("dim", True), "'dim', 'filter_width' and 'n_types' must be positive integers"),
+    (_add_junk_tensor, "unknown tensor 'junk'"),
+    (_poison(0, np.nan), "tensor 'cnn_w' holds non-finite values"),
+    (_poison(-1, -np.inf), "tensor 'word_emb' holds non-finite values"),
+], ids=["dim", "filter_width", "n_types", "bool_dim", "unknown_tensor", "nan", "inf"])
+def test_eval_rejects_inconsistent_checkpoint(task, capsys, edit, message):
+    model = run_train(task)
+    _rewrite_checkpoint(model, edit)
+    assert main(["eval", "--model", model, "--corpus", task["dev"],
+                 "--hierarchy", task["links"]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}: " in err and message in err, err
+
+
+def test_label_locates_bytes_that_are_not_utf8(task, tmp_path, capsys):
+    corpus = tmp_path / "bad.jsonl"
+    with open(task["train"], "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    corpus.write_bytes(b"".join(lines[:2]) + b'{"tokens": ["\xff"], "span": [0, 0]}\n')
+    assert main(["label", "--hierarchy", task["links"], "--corpus", str(corpus),
+                 "--out", str(tmp_path / "out.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {corpus}:3: not valid UTF-8" in err, err
+
+
+def test_every_text_reader_locates_bytes_that_are_not_utf8(task, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# comment\n\xfe\n")
+    train = ["train", "--config", task["config"], "--hierarchy", task["links"],
+             "--train", task["train"], "--dev", task["dev"], "--out", str(tmp_path / "m.ckpt")]
+    commands = [
+        ["stats", "--hierarchy", str(bad)],
+        ["derive-links", "--entities", str(bad), "--out", str(tmp_path / "l.tsv")],
+        ["train", "--config", str(bad), *train[3:]],
+        [*train, "--embeddings", str(bad)],
+    ]
+    for argv in commands:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"error: {bad}:2: not valid UTF-8" in err, (argv, err)
+
+
 def test_eval_rejects_unlabelable_corpus(task, tmp_path, capsys):
     model = run_train(task)
     bad = tmp_path / "bad.jsonl"

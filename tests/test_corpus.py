@@ -114,6 +114,23 @@ def test_embedding_load_errors(tmp_path):
         EmbeddingTable.load(str(p), dim=0)
 
 
+def test_embedding_load_rejects_non_finite_values(tmp_path):
+    p = tmp_path / "emb.txt"
+    for bad in ("nan", "inf", "-Infinity"):
+        p.write_text(f"a 1.0 2.0\n\nb 3.0 {bad}\nc 4.0 5.0\n", encoding="utf-8")
+        with pytest.raises(EmbeddingError) as exc:
+            EmbeddingTable.load(str(p), dim=2)
+        assert f"{p}:3:" in str(exc.value) and "'b'" in str(exc.value), bad
+
+
+def test_embedding_load_locates_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"a 1.0 2.0\nb\xff 3.0 4.0\n")
+    with pytest.raises(EmbeddingError) as exc:
+        EmbeddingTable.load(str(p), dim=2)
+    assert f"{p}:2:" in str(exc.value) and "UTF-8" in str(exc.value)
+
+
 def test_embedding_duplicate_token_keeps_first(tmp_path, caplog):
     p = tmp_path / "emb.txt"
     p.write_text("a 1.0\na 2.0\n", encoding="utf-8")

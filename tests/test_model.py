@@ -101,7 +101,7 @@ def test_width_one_cnn_is_per_token_affine():
     d = 4
     p = random_encoder(rng, d, w=1)
     wv = rng.normal(size=(5, d))
-    got = cnn_forward_cached(p, wv).out
+    got = cnn_forward_cached(p, [wv]).out[0]
     per_token = np.maximum(wv @ p.cnn_w[0] + p.cnn_b, 0.0)
     assert np.allclose(got, per_token.max(axis=0), rtol=1e-12, atol=1e-12)
 
@@ -112,7 +112,7 @@ def test_single_token_lands_on_the_last_tap():
     p = random_encoder(rng, d, w=3)
     p.cnn_b = np.full(d, 0.2)  # keep some outputs off the ReLU floor
     v = rng.normal(size=(1, d))
-    got = cnn_forward_cached(p, v).out
+    got = cnn_forward_cached(p, [v]).out[0]
     # padded to [0, v, 0]; the single window is placed at the first padded
     # slot, so its taps read [out-of-range zero, pad zero, v]
     expect = np.maximum(v[0] @ p.cnn_w[2] + p.cnn_b, 0.0)
@@ -127,7 +127,7 @@ def test_two_token_sentence_under_width_three():
     # padded to [v0, v1, 0]; the single window reads [oob zero, v0, v1],
     # so the tokens land on taps 1 and 2 and the right pad is never read
     expect = np.maximum(wv[0] @ p.cnn_w[1] + wv[1] @ p.cnn_w[2] + p.cnn_b, 0.0)
-    assert np.allclose(cnn_forward_cached(p, wv).out, expect, atol=1e-15)
+    assert np.allclose(cnn_forward_cached(p, [wv]).out[0], expect, atol=1e-15)
 
 
 def test_boundary_windows_read_zeros():
@@ -135,7 +135,7 @@ def test_boundary_windows_read_zeros():
     d = 3
     p = random_encoder(rng, d, w=3)
     wv = rng.normal(size=(4, d))
-    cache_out = cnn_forward_cached(p, wv).out
+    cache_out = cnn_forward_cached(p, [wv]).out[0]
     oracle = oracles.cnn_pool(p.cnn_w, p.cnn_b, wv)
     assert np.allclose(cache_out, oracle, atol=1e-15)
     # n - w + 1 = 2 windows: window 0 hangs one slot off the left edge
@@ -149,7 +149,7 @@ def test_all_negative_preactivations_pool_to_zero():
     d = 3
     p = zero_encoder(d=d)
     p.cnn_b = np.full(d, -1.0)
-    assert np.array_equal(cnn_forward_cached(p, np.ones((4, d))).out, np.zeros(d))
+    assert np.array_equal(cnn_forward_cached(p, [np.ones((4, d))]).out[0], np.zeros(d))
 
 
 def test_cnn_matches_oracle_on_random_instances():
@@ -159,7 +159,7 @@ def test_cnn_matches_oracle_on_random_instances():
         w = int(rng.choice([1, 3, 5]))
         p = random_encoder(rng, d, w)
         wv, _ = random_sentence(rng, d)
-        assert np.allclose(cnn_forward_cached(p, wv).out,
+        assert np.allclose(cnn_forward_cached(p, [wv]).out[0],
                            oracles.cnn_pool(p.cnn_w, p.cnn_b, wv), atol=1e-13)
 
 
@@ -179,7 +179,7 @@ def test_encode_matches_oracle_both_modes():
             d = int(rng.integers(1, 5))
             p = random_encoder(rng, d, w=3)
             wv, span = random_sentence(rng, d)
-            got = encode_vectors_cached(p, wv, span, mode).out
+            got = encode_vectors_cached(p, [wv], [span], mode).out[0]
             want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2,
                                   wv, span, use_cnn=(mode is EncoderMode.CNN_PLUS_MENTION))
             assert np.allclose(got, want, atol=1e-13)
@@ -189,7 +189,7 @@ def test_zero_weights_encode_to_b2():
     d = 3
     p = zero_encoder(d=d)
     p.b2 = np.array([1.0, -2.0, 3.0])
-    out = encode_vectors_cached(p, np.ones((4, d)), (1, 2), EncoderMode.CNN_PLUS_MENTION).out
+    out = encode_vectors_cached(p, [np.ones((4, d))], [(1, 2)], EncoderMode.CNN_PLUS_MENTION).out[0]
     assert np.array_equal(out, p.b2)
 
 
@@ -201,12 +201,12 @@ def test_mention_only_ignores_context_tokens():
     changed = wv.copy()
     changed[0] += 5.0
     changed[5] -= 3.0
-    a = encode_vectors_cached(p, wv, (2, 3), EncoderMode.MENTION_ONLY).out
-    b = encode_vectors_cached(p, changed, (2, 3), EncoderMode.MENTION_ONLY).out
+    a = encode_vectors_cached(p, [wv], [(2, 3)], EncoderMode.MENTION_ONLY).out[0]
+    b = encode_vectors_cached(p, [changed], [(2, 3)], EncoderMode.MENTION_ONLY).out[0]
     assert np.array_equal(a, b)
     # the CNN view does depend on context
-    c = encode_vectors_cached(p, wv, (2, 3), EncoderMode.CNN_PLUS_MENTION).out
-    e = encode_vectors_cached(p, changed, (2, 3), EncoderMode.CNN_PLUS_MENTION).out
+    c = encode_vectors_cached(p, [wv], [(2, 3)], EncoderMode.CNN_PLUS_MENTION).out[0]
+    e = encode_vectors_cached(p, [changed], [(2, 3)], EncoderMode.CNN_PLUS_MENTION).out[0]
     assert not np.allclose(c, e)
 
 
@@ -216,16 +216,110 @@ def test_encode_mention_uses_embedding_lookup():
     p = random_encoder(rng, d, w=3)
     emb = EmbeddingTable(["cat", "sat"], rng.normal(size=(2, d)))
     m = Mention(tokens=("the", "cat", "sat"), span=(1, 1))
-    got = encode_mention(p, m, emb, EncoderMode.CNN_PLUS_MENTION)
+    got = encode_mention(p, [m], emb, EncoderMode.CNN_PLUS_MENTION)[0]
     wv = np.stack([np.zeros(d), emb.lookup("cat"), emb.lookup("sat")])
-    want = encode_vectors_cached(p, wv, (1, 1), EncoderMode.CNN_PLUS_MENTION).out
+    want = encode_vectors_cached(p, [wv], [(1, 1)], EncoderMode.CNN_PLUS_MENTION).out[0]
     assert np.array_equal(got, want)
 
 
 def test_empty_sentence_rejected():
     p = zero_encoder()
     with pytest.raises(ModelError):
-        encode_vectors_cached(p, np.zeros((0, 3)), (0, 0), EncoderMode.MENTION_ONLY)
+        encode_vectors_cached(p, [np.zeros((0, 3))], [(0, 0)], EncoderMode.MENTION_ONLY)
+
+
+# ----------------------------------------------------------------------
+# batches
+
+
+RAGGED_LENGTHS = (1, 4, 5, 6, 30)  # 1, w - 1, w, w + 1 and a long sentence at w = 5
+
+
+def ragged_batch(rng, d, lengths=RAGGED_LENGTHS):
+    sentences = [rng.normal(scale=0.8, size=(n, d)) for n in lengths]
+    spans = [(n // 3, n // 2) for n in lengths]
+    return sentences, spans
+
+
+def test_batched_cnn_rows_match_per_mention_oracle():
+    rng = np.random.default_rng(23)
+    d = 4
+    p = random_encoder(rng, d, w=5)
+    sentences, _ = ragged_batch(rng, d)
+    cache = cnn_forward_cached(p, sentences)
+    assert cache.out.shape == cache.rows.shape == (len(sentences), d)
+    assert cache.windows.shape == (sum(max(n, 5) - 4 for n in RAGGED_LENGTHS), 5 * d)
+    for b, wv in enumerate(sentences):
+        assert np.allclose(cache.out[b], oracles.cnn_pool(p.cnn_w, p.cnn_b, wv),
+                           rtol=0.0, atol=1e-12), b
+
+
+def test_batched_encoder_rows_match_per_mention_oracle():
+    rng = np.random.default_rng(24)
+    d = 4
+    p = random_encoder(rng, d, w=5)
+    sentences, spans = ragged_batch(rng, d)
+    masks = [sample_dropout_masks(rng, d, 0.3) for _ in sentences]
+    for mode in (EncoderMode.CNN_PLUS_MENTION, EncoderMode.MENTION_ONLY):
+        for mk in (None, masks):
+            got = encode_vectors_cached(p, sentences, spans, mode, mk).out
+            assert got.shape == (len(sentences), d)
+            for b, (wv, span) in enumerate(zip(sentences, spans)):
+                cm, hm = (None, None) if mk is None else (mk[b].concat, mk[b].hidden)
+                want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2, wv, span,
+                                      use_cnn=mode is EncoderMode.CNN_PLUS_MENTION,
+                                      concat_mask=cm, hidden_mask=hm)
+                assert np.allclose(got[b], want, rtol=0.0, atol=1e-12), (mode, b)
+
+
+def test_dead_output_dim_pools_to_the_first_window_of_each_mention():
+    rng = np.random.default_rng(25)
+    d = 3
+    p = random_encoder(rng, d, w=5)
+    p.cnn_b[1] = -100.0  # output dim 1 is below zero in every window
+    sentences, _ = ragged_batch(rng, d)
+    cache = cnn_forward_cached(p, sentences)
+    counts = [max(n, 5) - 4 for n in RAGGED_LENGTHS]
+    first_rows = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    assert not cache.active[:, 1].any()
+    assert np.array_equal(cache.rows[:, 1], first_rows)
+    assert np.array_equal(cache.out[:, 1], np.zeros(len(sentences)))
+    # a live dim picks a row inside its own mention's segment
+    for o in (0, 2):
+        assert np.all(cache.rows[:, o] >= first_rows)
+        assert np.all(cache.rows[:, o] < first_rows + counts)
+
+
+def test_perturbing_one_mention_leaves_the_other_rows_bit_identical():
+    rng = np.random.default_rng(26)
+    d = 4
+    p = random_encoder(rng, d, w=5)
+    sentences, spans = ragged_batch(rng, d)
+    base = encode_vectors_cached(p, sentences, spans, EncoderMode.CNN_PLUS_MENTION)
+    for k in range(len(sentences)):
+        changed = list(sentences)
+        changed[k] = sentences[k] + rng.normal(size=sentences[k].shape)
+        moved = encode_vectors_cached(p, changed, spans, EncoderMode.CNN_PLUS_MENTION)
+        others = [b for b in range(len(sentences)) if b != k]
+        assert np.array_equal(moved.out[others], base.out[others]), k
+        assert np.array_equal(moved.cnn.out[others], base.cnn.out[others]), k
+        assert not np.array_equal(moved.out[k], base.out[k]), k
+
+
+def test_batch_length_mismatches_rejected():
+    rng = np.random.default_rng(27)
+    d = 3
+    p = random_encoder(rng, d, w=3)
+    sentences, spans = ragged_batch(rng, d, lengths=(2, 5))
+    with pytest.raises(ModelError):
+        encode_vectors_cached(p, sentences, spans[:1], EncoderMode.CNN_PLUS_MENTION)
+    with pytest.raises(ModelError):
+        encode_vectors_cached(p, sentences, spans, EncoderMode.CNN_PLUS_MENTION,
+                              [sample_dropout_masks(rng, d, 0.5)])
+    with pytest.raises(ModelError):
+        encode_vectors_cached(p, [], [], EncoderMode.CNN_PLUS_MENTION)
+    with pytest.raises(ModelError):
+        cnn_forward_cached(p, [])
 
 
 # ----------------------------------------------------------------------
@@ -242,8 +336,8 @@ def test_dropout_zero_probability_is_identity():
     wv, span = random_sentence(rng, d)
     m0 = sample_dropout_masks(rng, dim=d, p=0.0)
     assert np.array_equal(
-        encode_vectors_cached(p, wv, span, EncoderMode.CNN_PLUS_MENTION, m0).out,
-        encode_vectors_cached(p, wv, span, EncoderMode.CNN_PLUS_MENTION, None).out,
+        encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, [m0]).out[0],
+        encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, None).out[0],
     )
 
 
@@ -268,7 +362,7 @@ def test_dropout_masks_match_oracle_encode():
     p = random_encoder(rng, d, w=3)
     wv, span = random_sentence(rng, d)
     masks = sample_dropout_masks(rng, dim=d, p=0.5)
-    got = encode_vectors_cached(p, wv, span, EncoderMode.CNN_PLUS_MENTION, masks).out
+    got = encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, [masks]).out[0]
     want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2, wv, span,
                           use_cnn=True, concat_mask=masks.concat, hidden_mask=masks.hidden)
     assert np.allclose(got, want, atol=1e-13)

@@ -555,6 +555,36 @@ def test_fd_check_encoder_kink_at_zero_bias():
     assert report.max_rel_error < 1e-9
 
 
+def test_fd_check_ragged_batch_with_dropout():
+    # one batched encoder call covers sentences shorter and longer than the
+    # filter, so the max-pool gradient scatter and the stacked dropout masks
+    # both see mentions with different window counts
+    rng = np.random.default_rng(12)
+    d, w, n_types = 4, 5, 6
+    lengths = (1, 3, 4, 6, 9, 14)
+    prepared = []
+    for i, n in enumerate(lengths):
+        t1 = int(rng.integers(n))
+        prepared.append(PreparedMention(word_vectors=rng.normal(scale=0.8, size=(n, d)),
+                                        span=(t1, int(rng.integers(t1, n))), gold=(i % n_types,)))
+    masks = [sample_dropout_masks(rng, d, 0.3) for _ in prepared]
+    assert any(0.0 in m.concat or 0.0 in m.hidden for m in masks)
+    for kind in (ScoreKind.ORDER, ScoreKind.BILINEAR, ScoreKind.DOT):
+        params = random_model(rng, d, w, n_types, with_bilinear=kind is ScoreKind.BILINEAR)
+        cfg = small_config(dim=d, filter_width=w, mention_score_kind=kind)
+        _, grads, _ = loss(prepared, None, params, cfg, masks, grads=True)
+
+        def loss_fn(tensors):
+            p = ModelParams.from_tensors(tensors)
+            value, _, pattern = loss(prepared, None, p, cfg, masks, pattern=True)
+            return value, pattern
+
+        report = finite_difference_check(loss_fn, params.tensors(), grads)
+        assert np.count_nonzero(grads["cnn_w"]) > 0
+        assert report.checked > 0.9 * sum(t.size for t in params.tensors().values())
+        assert report.max_rel_error < 1e-4, (kind, report.worst)
+
+
 # ----------------------------------------------------------------------
 # Adam
 
