@@ -416,32 +416,15 @@ class TypeHierarchy:
 
 
 def _find_cycle(leftover: set[int], parents: Mapping[int, set[int]]) -> list[int]:
-    """DFS over the leftover subgraph; returns one cycle's class reps."""
-    state: dict[int, int] = {}  # 1 = on path, 2 = done
-    for start in sorted(leftover):
-        if state.get(start):
-            continue
-        path = [start]
-        state[start] = 1
-        stack = [(start, iter(sorted(p for p in parents[start] if p in leftover)))]
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                mark = state.get(nxt, 0)
-                if mark == 1:
-                    return path[path.index(nxt):]
-                if mark == 0:
-                    state[nxt] = 1
-                    path.append(nxt)
-                    stack.append((nxt, iter(sorted(p for p in parents[nxt] if p in leftover))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                stack.pop()
-                path.pop()
-    raise AssertionError("leftover nodes of a topological sort must contain a cycle")
+    """One cycle's class reps among the classes a topological sweep leaves
+    over.  Each of them still waits on a left-over parent, so the walk from
+    the smallest one along smallest left-over parents must repeat a class."""
+    path: dict[int, int] = {}  # class rep -> position on the walk
+    node = min(leftover)
+    while node not in path:
+        path[node] = len(path)
+        node = min(p for p in parents[node] if p in leftover)
+    return list(path)[path[node]:]
 
 
 def _parse_links_text(text: str, source: str) -> tuple[list[RawLink], list[str]]:

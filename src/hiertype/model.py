@@ -33,11 +33,15 @@ Penalties are always >= 0 and are added to losses for negative pairs.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
-from dataclasses import dataclass
+import os
+import sys
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import BinaryIO, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -74,10 +78,41 @@ class ScoreKind(str, Enum):
 # parameters
 
 
+def _tensor_shapes(d: int, width: int, n_types: int, n_vocab: int | None = None) -> dict[str, list[int]]:
+    """Every tensor a model or checkpoint may hold, in file order, with its
+    shape; ``word_emb`` is listed only when ``n_vocab`` is given.  This is
+    the one table of tensor names, shapes and order: shape checks,
+    initialization, the parameter arena, gradients and checkpoints follow it."""
+    table = {
+        "cnn_w": [width, d, d], "cnn_b": [d], "w1": [d, 2 * d], "b1": [d],
+        "w2": [d, d], "b2": [d], "type_emb": [n_types, d],
+        "bilinear": [d, d], "bilinear_structure": [d, d],
+    }
+    if n_vocab is not None:
+        table["word_emb"] = [n_vocab, d]
+    return table
+
+
+def _check_shapes(tensors: Mapping[str, np.ndarray], table: Mapping[str, list[int]]) -> None:
+    for name, t in tensors.items():
+        if list(t.shape) != table[name]:
+            raise ModelError(f"{name} must have shape {tuple(table[name])}, got {t.shape}")
+
+
+def _views(vector: np.ndarray, shapes: Mapping[str, Sequence[int]]) -> dict[str, np.ndarray]:
+    """Consecutive runs of ``vector``, reshaped to the given shapes in order."""
+    out, at = {}, 0
+    for name, shape in shapes.items():
+        size = math.prod(shape)
+        out[name] = vector[at:at + size].reshape(shape)
+        at += size
+    return out
+
+
 @dataclass
 class EncoderParams:
-    """Encoder tensors.  Shapes: cnn_w (w, d, d) indexed [tap, in, out],
-    cnn_b (d,), w1 (d, 2d), b1 (d,), w2 (d, d), b2 (d,)."""
+    """Encoder tensors, shaped as ``_tensor_shapes`` says; cnn_w is indexed
+    [tap, in, out]."""
 
     cnn_w: np.ndarray
     cnn_b: np.ndarray
@@ -87,25 +122,13 @@ class EncoderParams:
     b2: np.ndarray
 
     def __post_init__(self):
-        for name in ("cnn_w", "cnn_b", "w1", "b1", "w2", "b2"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        w, d_in, d_out = self.cnn_w.shape
-        if d_in != d_out:
+        for name, t in list(vars(self).items()):
+            setattr(self, name, np.asarray(t, dtype=np.float64))
+        if self.cnn_w.ndim != 3 or self.cnn_w.shape[1] != self.cnn_w.shape[2]:
             raise ModelError(f"cnn filter must map d -> d, got {self.cnn_w.shape}")
-        d = d_out
-        if w % 2 == 0 or w < 1:
-            raise ModelError(f"filter width must be odd and positive, got {w}")
-        expect = {
-            "cnn_b": (d,),
-            "w1": (d, 2 * d),
-            "b1": (d,),
-            "w2": (d, d),
-            "b2": (d,),
-        }
-        for name, shape in expect.items():
-            got = getattr(self, name).shape
-            if got != shape:
-                raise ModelError(f"{name} must have shape {shape}, got {got}")
+        if self.filter_width % 2 == 0:
+            raise ModelError(f"filter width must be odd and positive, got {self.filter_width}")
+        _check_shapes(vars(self), _tensor_shapes(self.dim, self.filter_width, 0))
 
     @property
     def dim(self) -> int:
@@ -118,72 +141,59 @@ class EncoderParams:
 
 @dataclass
 class ModelParams:
-    """Full trainable state: encoder, type embeddings, optional bilinear maps."""
+    """Full trainable state: encoder, type embeddings, optional bilinear maps.
+
+    Every present tensor, the encoder's included, is a reshaped view of one
+    float64 vector ``flat``, laid out in ``_tensor_shapes`` order.  The
+    constructor copies the given tensors into a new vector.  Only code in
+    this module passes ``flat``: a vector that already holds the tensors'
+    values in that layout, used as it is.  Update tensors in place: an
+    attribute rebound to another array is no longer part of ``flat``.
+    """
 
     encoder: EncoderParams
     type_emb: np.ndarray
     bilinear: np.ndarray | None = None
     bilinear_structure: np.ndarray | None = None
+    flat: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
+        # another model built from the same encoder object keeps its own views
+        self.encoder = copy.copy(self.encoder)
         self.type_emb = np.asarray(self.type_emb, dtype=np.float64)
-        d = self.encoder.dim
-        if self.type_emb.ndim != 2 or self.type_emb.shape[1] != d:
-            raise ModelError(f"type embeddings must be (n_types, {d}), got {self.type_emb.shape}")
-        for name in ("bilinear", "bilinear_structure"):
-            mat = getattr(self, name)
-            if mat is not None:
-                mat = np.asarray(mat, dtype=np.float64)
-                if mat.shape != (d, d):
-                    raise ModelError(f"{name} must be ({d}, {d}), got {mat.shape}")
-                setattr(self, name, mat)
+        if self.type_emb.ndim != 2:
+            raise ModelError(f"type embeddings must be (n_types, d), got {self.type_emb.shape}")
+        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in self.tensors().items()}
+        _check_shapes(tensors, _tensor_shapes(self.encoder.dim, self.encoder.filter_width, self.n_types))
+        if self.flat is None:
+            self.flat = np.concatenate([t.ravel() for t in tensors.values()])
+        for name, view in _views(self.flat, {n: t.shape for n, t in tensors.items()}).items():
+            setattr(self.encoder if name in vars(self.encoder) else self, name, view)
 
     @property
     def n_types(self) -> int:
         return self.type_emb.shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Named views of every present tensor, in a fixed order."""
-        out = {
-            "cnn_w": self.encoder.cnn_w,
-            "cnn_b": self.encoder.cnn_b,
-            "w1": self.encoder.w1,
-            "b1": self.encoder.b1,
-            "w2": self.encoder.w2,
-            "b2": self.encoder.b2,
-            "type_emb": self.type_emb,
-        }
-        if self.bilinear is not None:
-            out["bilinear"] = self.bilinear
-        if self.bilinear_structure is not None:
-            out["bilinear_structure"] = self.bilinear_structure
-        return out
+        """Named views of every present tensor, in table order."""
+        enc = self.encoder
+        present = {**vars(enc), **vars(self)}
+        table = _tensor_shapes(enc.dim, enc.filter_width, self.n_types)
+        return {n: present[n] for n in table if present[n] is not None}
+
+    def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Named views of a vector laid out like ``flat``, in table order."""
+        return _views(vector, {n: t.shape for n, t in self.tensors().items()})
 
     def copy(self) -> "ModelParams":
-        enc = EncoderParams(
-            self.encoder.cnn_w.copy(), self.encoder.cnn_b.copy(),
-            self.encoder.w1.copy(), self.encoder.b1.copy(),
-            self.encoder.w2.copy(), self.encoder.b2.copy(),
-        )
-        return ModelParams(
-            encoder=enc,
-            type_emb=self.type_emb.copy(),
-            bilinear=None if self.bilinear is None else self.bilinear.copy(),
-            bilinear_structure=None if self.bilinear_structure is None else self.bilinear_structure.copy(),
-        )
+        return replace(self, flat=self.flat.copy())
 
     @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "ModelParams":
-        enc = EncoderParams(
-            tensors["cnn_w"], tensors["cnn_b"],
-            tensors["w1"], tensors["b1"], tensors["w2"], tensors["b2"],
-        )
-        return cls(
-            encoder=enc,
-            type_emb=tensors["type_emb"],
-            bilinear=tensors.get("bilinear"),
-            bilinear_structure=tensors.get("bilinear_structure"),
-        )
+    def from_tensors(cls, tensors: Mapping[str, np.ndarray], *,
+                     flat: np.ndarray | None = None) -> "ModelParams":
+        enc = EncoderParams(**{f.name: tensors[f.name] for f in fields(EncoderParams)})
+        return cls(enc, tensors["type_emb"], tensors.get("bilinear"),
+                   tensors.get("bilinear_structure"), flat=flat)
 
 
 @dataclass(frozen=True)
@@ -399,15 +409,6 @@ def rank_types(
 # checkpoints
 
 
-def _tensor_shapes(d: int, width: int, n_types: int, n_vocab: int) -> dict[str, list[int]]:
-    """Every tensor a checkpoint may hold, in file order, with its shape."""
-    return {
-        "cnn_w": [width, d, d], "cnn_b": [d], "w1": [d, 2 * d], "b1": [d],
-        "w2": [d, d], "b2": [d], "type_emb": [n_types, d],
-        "bilinear": [d, d], "bilinear_structure": [d, d], "word_emb": [n_vocab, d],
-    }
-
-
 @dataclass
 class Checkpoint:
     """Self-contained trained model: parameters plus everything needed to
@@ -439,39 +440,40 @@ class Checkpoint:
 
 
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
-    """Header JSON line + raw little-endian float64 tensors, fixed order."""
-    tensors = dict(ckpt.params.tensors())
-    tensors["word_emb"] = ckpt.word_emb
-    enc = ckpt.params.encoder
-    order = _tensor_shapes(enc.dim, enc.filter_width, ckpt.params.n_types, len(ckpt.vocab))
-    names = [n for n in order if n in tensors]
+    """Header JSON line + raw little-endian float64 tensors in table order:
+    the parameter arena, then the word embeddings."""
+    params, enc = ckpt.params, ckpt.params.encoder
+    table = _tensor_shapes(enc.dim, enc.filter_width, params.n_types, len(ckpt.vocab))
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "dim": ckpt.params.encoder.dim,
-        "filter_width": ckpt.params.encoder.filter_width,
-        "n_types": ckpt.params.n_types,
+        "dim": enc.dim,
+        "filter_width": enc.filter_width,
+        "n_types": params.n_types,
         "encoder_mode": ckpt.encoder_mode.value,
         "mention_score_kind": ckpt.mention_score_kind.value,
         "structure_score_kind": None if ckpt.structure_score_kind is None else ckpt.structure_score_kind.value,
         "margin": float(ckpt.margin),
         "type_names": list(ckpt.type_names),
         "vocab": list(ckpt.vocab),
-        "tensors": [[n, list(tensors[n].shape)] for n in names],
+        "tensors": [[n, table[n]] for n in [*params.tensors(), "word_emb"]],
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(tensors[n], dtype="<f8").tobytes())
+        for block in (params.flat, ckpt.word_emb):
+            fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(s, str) for s in value)
+
+
+def _checked_header(path: str, line: bytes) -> tuple[dict, list]:
+    """The header object of a checkpoint and its tensor list, after every
+    check that needs no tensor bytes."""
     try:
-        header = json.loads(header_line.decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
@@ -486,11 +488,16 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise CheckpointError(f"{path}: header 'tensors' must be a list of [name, shape] pairs "
                               "with non-negative integer dimensions")
     sizes = [header.get(k) for k in ("dim", "filter_width", "n_types")]
-    vocab = header.get("vocab")
-    if not all(type(v) is int and v >= 1 for v in sizes) or not isinstance(vocab, list):
+    if not all(type(v) is int and v >= 1 for v in sizes):
         raise CheckpointError(f"{path}: header 'dim', 'filter_width' and 'n_types' must be "
-                              "positive integers and 'vocab' a list")
-    expected = _tensor_shapes(*sizes, len(vocab))
+                              "positive integers")
+    if not (_is_str_list(header.get("type_names")) and _is_str_list(header.get("vocab"))):
+        raise CheckpointError(f"{path}: header 'type_names' and 'vocab' must be lists of strings")
+    margin = header.get("margin")
+    # nan, inf and ints beyond the float range all fail the comparison
+    if type(margin) not in (int, float) or not abs(margin) <= sys.float_info.max:
+        raise CheckpointError(f"{path}: header 'margin' must be a finite number, got {margin!r}")
+    expected = _tensor_shapes(*sizes, len(header["vocab"]))
     names = [name for name, _ in specs]
     if len(set(names)) != len(names):
         raise CheckpointError(f"{path}: header 'tensors' lists a tensor twice")
@@ -501,24 +508,36 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape}, but the header's dim, "
                 f"filter_width, n_types and vocab give {expected[name]}")
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in specs:
-        count = math.prod(shape)
-        nbytes = count * 8
-        if offset + nbytes > len(blob):
-            raise CheckpointError(f"{path}: truncated tensor block for {name!r}")
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    if names != [n for n in expected if n in names]:
+        raise CheckpointError(f"{path}: header 'tensors' is not in file order {list(expected)}")
+    return header, specs
+
+
+def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``.  The tensor block is
+    read once into one buffer; the parameter arena and the word embeddings
+    are views of it, so no tensor is copied."""
+    with open(path, "rb") as fh:
+        header, specs = _checked_header(path, fh.readline())
+        ends = list(itertools.accumulate((8 * math.prod(shape) for _, shape in specs), initial=0))
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size < ends[-1]:
+            short = next(name for (name, _), end in zip(specs, ends[1:]) if end > size)
+            raise CheckpointError(f"{path}: truncated tensor block for {short!r}")
+        if size > ends[-1]:
+            raise CheckpointError(f"{path}: {size - ends[-1]} trailing byte(s) after tensors")
+        block = bytearray(size)
+        if fh.readinto(block) != size:
+            raise CheckpointError(f"{path}: checkpoint changed while it was read")
+    values = np.frombuffer(block, dtype="<f8")
+    tensors = _views(values, dict(specs))
+    for name, arr in tensors.items():
         # min and max propagate nan and reach +-inf without a temporary
-        if count and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
+        if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max())):
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
-        tensors[name] = arr.reshape(shape).astype(np.float64)
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing byte(s) after tensors")
     try:
         word_emb = tensors.pop("word_emb")
-        params = ModelParams.from_tensors(tensors)
+        params = ModelParams.from_tensors(tensors, flat=values[:values.size - word_emb.size])
         skind = header["structure_score_kind"]
         ckpt = Checkpoint(
             params=params,

@@ -52,6 +52,7 @@ from .model import (
     neg_log_one_minus_sigmoid,
     sample_dropout_masks,
     sigmoid,
+    _tensor_shapes,
 )
 
 log = logging.getLogger(__name__)
@@ -99,6 +100,10 @@ class TrainConfig:
         return self.mention_score_kind if self.structure_score_kind is None else self.structure_score_kind
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.dim < 1:
             raise ConfigError(f"dim must be positive, got {self.dim}")
         if self.filter_width < 1 or self.filter_width % 2 == 0:
@@ -119,6 +124,8 @@ class TrainConfig:
             raise ConfigError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
             raise ConfigError("adam betas must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps!r}")
         if self.share_bilinear:
             if self.mention_score_kind is not ScoreKind.BILINEAR or self.effective_structure_kind() is not ScoreKind.BILINEAR:
                 raise ConfigError("share_bilinear requires bilinear mention and structure scoring")
@@ -234,34 +241,20 @@ def glorot_init(shape: Sequence[int], rng: np.random.Generator | int) -> np.ndar
 
 
 def init_model(n_types: int, config: TrainConfig, rng: np.random.Generator | None = None) -> ModelParams:
-    """Fresh parameters; tensors are drawn in a fixed order for determinism."""
+    """Fresh parameters: every present tensor is drawn with ``glorot_init`` in table order."""
     config.validate()
     if n_types < 1:
         raise TrainingError("cannot build a model for zero types")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    d, w = config.dim, config.filter_width
-    enc = EncoderParams(
-        cnn_w=glorot_init((w, d, d), rng),
-        cnn_b=np.zeros(d),
-        w1=glorot_init((d, 2 * d), rng),
-        b1=np.zeros(d),
-        w2=glorot_init((d, d), rng),
-        b2=np.zeros(d),
-    )
-    type_emb = glorot_init((n_types, d), rng)
-    bilinear = None
-    if config.mention_score_kind is ScoreKind.BILINEAR:
-        bilinear = glorot_init((d, d), rng)
-    bilinear_structure = None
-    if (
-        config.structure_weight > 0
-        and config.effective_structure_kind() is ScoreKind.BILINEAR
-        and not config.share_bilinear
-    ):
-        bilinear_structure = glorot_init((d, d), rng)
-    return ModelParams(encoder=enc, type_emb=type_emb, bilinear=bilinear,
-                       bilinear_structure=bilinear_structure)
+    present = {
+        "bilinear": config.mention_score_kind is ScoreKind.BILINEAR,
+        "bilinear_structure": (config.structure_weight > 0 and not config.share_bilinear
+                               and config.effective_structure_kind() is ScoreKind.BILINEAR),
+    }
+    shapes = _tensor_shapes(config.dim, config.filter_width, n_types)
+    return ModelParams.from_tensors(
+        {n: glorot_init(s, rng) for n, s in shapes.items() if present.get(n, True)})
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +503,7 @@ def loss(
     t_emb = params.type_emb
     n_types = t_emb.shape[0]
     total = 0.0
-    out = {k: np.zeros_like(v) for k, v in params.tensors().items()} if grads else None
+    out = params.split(np.zeros_like(params.flat)) if grads else None
     parts: list[bytes] = []
 
     if typing is not None:

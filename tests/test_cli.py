@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hiertype import load_checkpoint
 from hiertype.cli import main
@@ -341,6 +342,88 @@ def test_eval_rejects_inconsistent_checkpoint(task, capsys, edit, message):
                  "--hierarchy", task["links"]]) == 2
     err = capsys.readouterr().err
     assert f"error: {model}: " in err and message in err, err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("margin", [1.0], "'margin' must be a finite number"),
+    ("margin", {"value": 1.0}, "'margin' must be a finite number"),
+    ("margin", None, "'margin' must be a finite number"),
+    ("margin", float("nan"), "'margin' must be a finite number"),
+    ("type_names", None, "'type_names' and 'vocab' must be lists of strings"),
+    ("vocab", None, "'type_names' and 'vocab' must be lists of strings"),
+    ("vocab", ["meow", ["vroom"], "the", "a"], "'type_names' and 'vocab' must be lists of strings"),
+], ids=["margin_list", "margin_dict", "margin_null", "margin_nan", "type_names_null",
+        "vocab_null", "vocab_holds_list"])
+def test_eval_rejects_mistyped_checkpoint_header_values(task, capsys, key, value, message):
+    model = run_train(task)
+    _rewrite_checkpoint(model, _set_header(key, value))
+    assert main(["eval", "--model", model, "--corpus", task["dev"],
+                 "--hierarchy", task["links"]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}: " in err and message in err, err
+
+
+def test_eval_rejects_tensors_listed_out_of_file_order(task, capsys):
+    model = run_train(task)
+
+    def swap_first_two(header, blob):
+        (a, shape_a), (b, shape_b) = header["tensors"][:2]
+        size_a, size_b = 8 * int(np.prod(shape_a)), 8 * int(np.prod(shape_b))
+        header["tensors"][:2] = [[b, shape_b], [a, shape_a]]
+        return blob[size_a:size_a + size_b] + blob[:size_a] + blob[size_a + size_b:]
+
+    _rewrite_checkpoint(model, swap_first_two)
+    assert main(["eval", "--model", model, "--corpus", task["dev"],
+                 "--hierarchy", task["links"]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}: " in err and "not in file order" in err, err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+
+
+def test_eval_on_a_mutated_checkpoint_exits_0_or_2(task, tmp_path, capsys):
+    with open(run_train(task), "rb") as fh:
+        raw = fh.read()
+    header_line, _, blob = raw.partition(b"\n")
+    header = json.loads(header_line)
+    mutated = tmp_path / "mutated.ckpt"
+
+    @settings(max_examples=60)
+    @given(st.one_of(
+        st.tuples(st.sampled_from(sorted(header)), JSON_VALUES),
+        st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+    ))
+    def check(mutation):
+        where, what = mutation
+        if isinstance(where, str):  # one header value replaced by any JSON value
+            data = json.dumps({**header, where: what}).encode("utf-8") + b"\n" + blob
+        else:  # one byte anywhere in the file overwritten
+            data = raw[:where] + bytes([what]) + raw[where + 1:]
+        mutated.write_bytes(data)
+        rc = main(["eval", "--model", str(mutated), "--corpus", task["dev"],
+                   "--hierarchy", task["links"]])
+        capsys.readouterr()
+        assert rc in (0, 2), mutation
+
+    check()
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("learning_rate=nan", "learning_rate"),
+    ("adam_eps=0", "adam_eps"),
+])
+def test_train_rejects_bad_numeric_settings(task, tmp_path, capsys, setting, key):
+    assert main(["train", "--config", task["config"], "--hierarchy", task["links"],
+                 "--train", task["train"], "--dev", task["dev"],
+                 "--out", str(tmp_path / "x.ckpt"), "--set", setting]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_label_locates_bytes_that_are_not_utf8(task, tmp_path, capsys):

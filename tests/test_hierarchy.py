@@ -144,6 +144,23 @@ def test_two_cycles_one_reported():
     assert set(exc.value.cycle) in ({"a", "b"}, {"x", "y"})
 
 
+def test_reported_cycle_is_a_closed_chain_of_links():
+    rejected = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        names, links = random_dag_links(rng, max_nodes=30, extra_edges=int(rng.integers(1, 6)))
+        edges = {(b, a) if kind == "parent_of" else (a, b) for a, b, kind in links}
+        try:
+            TypeHierarchy.from_links(links, types=names)
+        except CycleError as exc:
+            rejected += 1
+            cycle = exc.cycle
+            assert len(set(cycle)) == len(cycle) >= 2, (seed, cycle)
+            for child, parent in zip(cycle, cycle[1:] + cycle[:1]):
+                assert (child, parent) in edges, (seed, cycle)
+    assert rejected >= 50
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(HierarchyError):
         build([("a", "b", "sibling_of")])

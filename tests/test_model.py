@@ -593,3 +593,75 @@ def test_checkpoint_embedding_table(tmp_path):
     emb = ckpt.embedding_table()
     assert emb.tokens == ckpt.vocab
     assert np.array_equal(emb.matrix, ckpt.word_emb)
+
+
+# ----------------------------------------------------------------------
+# parameter layout
+
+
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def _memory_owner(a):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_model_tensors_tile_flat_in_table_order():
+    rng = np.random.default_rng(23)
+    w1 = rng.normal(size=(3, 6))
+    enc = random_encoder(rng, 3, 3)
+    enc.w1 = w1
+    p = ModelParams(encoder=enc, type_emb=rng.normal(size=(4, 3)),
+                    bilinear_structure=rng.normal(size=(3, 3)))
+    assert list(p.tensors()) == ["cnn_w", "cnn_b", "w1", "b1", "w2", "b2", "type_emb",
+                                 "bilinear_structure"]
+    assert p.flat.shape == (sum(t.size for t in p.tensors().values()),)
+    assert np.array_equal(p.encoder.w1, w1)
+    w1[0, 0] += 1.0  # the constructor copied its inputs into the arena
+    assert not np.array_equal(p.encoder.w1, w1)
+    p.flat[:] = np.arange(p.flat.size)
+    tiled = np.concatenate([t.ravel() for t in p.tensors().values()])
+    assert np.array_equal(tiled, np.arange(p.flat.size))
+
+
+def test_model_copy_shares_no_memory():
+    rng = np.random.default_rng(24)
+    p = random_model(rng, 3, 3, 4, with_structure_bilinear=True)
+    c = p.copy()
+    assert not np.shares_memory(c.flat, p.flat)
+    for name, t in p.tensors().items():
+        assert np.array_equal(c.tensors()[name], t), name
+        assert not np.shares_memory(c.tensors()[name], p.flat), name
+    c.flat += 1.0
+    assert np.array_equal(p.flat, p.copy().flat) and not np.array_equal(c.flat, p.flat)
+
+
+def test_loaded_params_and_word_emb_are_views_of_one_buffer(tmp_path):
+    rng = np.random.default_rng(25)
+    ckpt = make_checkpoint_fixture(rng, with_bilinear=True, with_structure=True)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, ckpt)
+    back = load_checkpoint(path)
+    flat = back.params.flat
+    assert flat.flags.writeable
+    assert isinstance(_memory_owner(flat), bytearray)
+    assert _memory_owner(back.word_emb) is _memory_owner(flat)
+    assert _address(flat) + flat.nbytes == _address(back.word_emb)
+    at = _address(flat)
+    for name, t in back.params.tensors().items():
+        assert _address(t) == at and t.flags.c_contiguous, name
+        at += t.nbytes
+
+
+def test_checkpoint_save_load_save_is_byte_identical(tmp_path):
+    for seed, kw in ((26, dict(with_bilinear=True, with_structure=True)),
+                     (27, dict(with_bilinear=False))):
+        ckpt = make_checkpoint_fixture(np.random.default_rng(seed), **kw)
+        a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
+        save_checkpoint(a, ckpt)
+        save_checkpoint(b, load_checkpoint(a))
+        with open(a, "rb") as fa, open(b, "rb") as fb:
+            assert fa.read() == fb.read()

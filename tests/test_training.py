@@ -134,6 +134,9 @@ def test_config_validation_catches_bad_settings():
         dict(dropout=-0.1), dict(learning_rate=0.0), dict(batch_size=0),
         dict(structure_batch_size=0), dict(max_epochs=0), dict(patience=0),
         dict(adam_beta1=1.0), dict(adam_beta2=-0.5),
+        dict(learning_rate=math.nan), dict(learning_rate=math.inf), dict(margin=math.nan),
+        dict(margin=math.inf), dict(structure_weight=math.nan), dict(structure_weight=math.inf),
+        dict(adam_eps=0.0), dict(adam_eps=-1.0), dict(adam_eps=math.nan),
         dict(share_bilinear=True, mention_score_kind=ScoreKind.DOT),
         dict(share_bilinear=True, mention_score_kind=ScoreKind.BILINEAR,
              structure_score_kind=ScoreKind.ORDER),
@@ -146,6 +149,35 @@ def test_config_validation_catches_bad_settings():
 
 # ----------------------------------------------------------------------
 # initialization
+
+
+@pytest.mark.parametrize("kw", [
+    dict(mention_score_kind=ScoreKind.BILINEAR, structure_score_kind=ScoreKind.BILINEAR,
+         structure_weight=0.5),
+    dict(mention_score_kind=ScoreKind.DOT, structure_score_kind=ScoreKind.BILINEAR,
+         structure_weight=0.5),
+    dict(mention_score_kind=ScoreKind.BILINEAR, share_bilinear=True, structure_weight=0.5),
+    dict(mention_score_kind=ScoreKind.ORDER),
+], ids=["both_bilinear", "structure_bilinear", "shared", "order"])
+def test_init_model_matches_glorot_draws_in_fixed_order(kw):
+    d, w, n_types = 3, 3, 5
+    cfg = small_config(dim=d, filter_width=w, **kw)
+    params = init_model(n_types, cfg, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    want = {
+        "cnn_w": glorot_init((w, d, d), rng), "cnn_b": np.zeros(d),
+        "w1": glorot_init((d, 2 * d), rng), "b1": np.zeros(d),
+        "w2": glorot_init((d, d), rng), "b2": np.zeros(d),
+        "type_emb": glorot_init((n_types, d), rng),
+    }
+    if cfg.mention_score_kind is ScoreKind.BILINEAR:
+        want["bilinear"] = glorot_init((d, d), rng)
+    if cfg.effective_structure_kind() is ScoreKind.BILINEAR and not cfg.share_bilinear:
+        want["bilinear_structure"] = glorot_init((d, d), rng)
+    got = params.tensors()
+    assert list(got) == list(want)
+    for name, t in want.items():
+        assert np.array_equal(got[name], t), name
 
 
 def test_glorot_biases_are_zero():
@@ -458,6 +490,27 @@ def test_backward_structure_gradient_matches_finite_differences():
     report = finite_difference_check(loss_fn, params.tensors(), grads)
     assert report.checked > 0
     assert report.max_rel_error < 1e-6, report.worst
+
+
+def test_loss_gradients_are_views_of_one_vector():
+    rng = np.random.default_rng(32)
+    d = 3
+    params = random_model(rng, d, 3, 5, with_bilinear=True, with_structure_bilinear=True)
+    wv, span = random_sentence(rng, d)
+    prepared = [PreparedMention(word_vectors=wv, span=span, gold=(2,))]
+    cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR,
+                       structure_score_kind=ScoreKind.BILINEAR, structure_weight=0.5)
+    _, grads, _ = loss(prepared, [(0, (1, 2))], params, cfg, grads=True)
+    assert list(grads) == list(params.tensors())
+    base = grads["cnn_w"].base
+    assert base is not None and base.shape == params.flat.shape
+    at = base.__array_interface__["data"][0]
+    for name, g in grads.items():
+        assert g.base is base and g.shape == params.tensors()[name].shape, name
+        assert g.__array_interface__["data"][0] == at and g.flags.c_contiguous, name
+        at += g.nbytes
+    assert all(np.count_nonzero(grads[n]) for n in ("w1", "type_emb", "bilinear",
+                                                    "bilinear_structure"))
 
 
 def test_backward_rejects_bad_batches():
