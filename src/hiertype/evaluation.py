@@ -17,7 +17,7 @@ from .errors import HiertypeError
 from .model import EncoderMode, ModelParams, ScoreKind, encode_mention, rank_types
 
 
-# mentions per encoder call in evaluate_model: the paper's batch size
+# mentions per encoder and ranking call in evaluate_model: the paper's batch size
 EVAL_BATCH = 32
 
 
@@ -79,16 +79,16 @@ def evaluate_model(
 ) -> EvalReport:
     """Rank every type for each mention (no dropout) and average the APs.
 
-    Mentions are encoded EVAL_BATCH at a time, which bounds the encoder's
-    temporaries however large the corpus is."""
+    Mentions are encoded and ranked EVAL_BATCH at a time, one call each,
+    which bounds the temporaries however large the corpus is."""
     if not examples:
         raise EvalError("empty evaluation set")
     aps = []
     for start in range(0, len(examples), EVAL_BATCH):
         chunk = examples[start:start + EVAL_BATCH]
         encoded = encode_mention(params.encoder, [ex.mention for ex in chunk], emb, mode)
-        for ex, m in zip(chunk, encoded):
-            order, _ = rank_types(kind, m, params.type_emb, params.bilinear)
+        orders, _ = rank_types(kind, encoded, params.type_emb, params.bilinear)
+        for ex, order in zip(chunk, orders):
             gold = {t.index for t in ex.gold_types}
             aps.append(average_precision(order.tolist(), gold))
     return EvalReport(per_mention_ap=tuple(aps), mean_ap=sum(aps) / len(aps), mention_count=len(aps))

@@ -29,6 +29,14 @@ kinds.  Order: score = -||max(0, y - x)||^2 and the non-membership penalty
 is the hinge max(0, margin - E).  Bilinear: score = log sigma(x' A y),
 penalty = -log(1 - sigma).  Dot: bilinear with A fixed to identity.
 Penalties are always >= 0 and are added to losses for negative pairs.
+
+``score_all_types`` and ``rank_types`` score one vector m of shape (d,)
+into (N,) scores, or a batch (B, d) into (B, N).  The order energy
+(Vendrov et al. 2016) has one kernel, ``order_energy_chunks``, shared by
+scoring and the training grid: it walks the N types in chunks of
+ORDER_CHUNK and holds max(0, y - x) in one reused (B, ORDER_CHUNK, d)
+buffer, never a (B, N, d) array.  Bilinear scores are associated as
+(m @ A) @ T', so no product has N x d x d cost.
 """
 
 from __future__ import annotations
@@ -374,23 +382,53 @@ def encode_mention(
 # pair scoring
 
 
+# types per chunk of the order kernel: a sweep over 16-96 at d = 300 and
+# B = 32 or 128 found 32-64 fastest, and the buffer stays (B, 32, d)
+ORDER_CHUNK = 32
+
+
+def order_energy_chunks(x: np.ndarray, y: np.ndarray, energy: np.ndarray):
+    """The order kernel, walked over the rows of y in chunks of ORDER_CHUNK.
+
+    For each chunk it writes E[b, n] = ||max(0, y[n] - x[b])||^2 into
+    ``energy[:, s:e]`` and yields ``(s, e, r)`` with r = max(0, y[s:e] - x)
+    of shape (B, e - s, d).  Every r is a view of one reused (B, C, d)
+    buffer, so a caller consumes it before asking for the next chunk."""
+    buf = np.empty((x.shape[0], min(ORDER_CHUNK, y.shape[0]), x.shape[1]))
+    for s in range(0, y.shape[0], ORDER_CHUNK):
+        e = min(s + ORDER_CHUNK, y.shape[0])
+        r = buf[:, :e - s]
+        np.subtract(y[None, s:e], x[:, None], out=r)
+        np.maximum(r, 0.0, out=r)
+        np.einsum("bcd,bcd->bc", r, r, out=energy[:, s:e])
+        yield s, e, r
+
+
 def score_all_types(
     kind: ScoreKind,
     m: np.ndarray,
     type_emb: np.ndarray,
     bilinear: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Membership scores of one vector against every type row, shape (N,)."""
+    """Membership scores against every type row: shape (N,) for one vector
+    m of shape (d,), and (B, N) for a batch of shape (B, d)."""
     m = np.asarray(m, dtype=np.float64)
     T = np.asarray(type_emb, dtype=np.float64)
+    if m.ndim not in (1, 2):
+        raise ModelError(f"mention vectors must be (d,) or (B, d), got {m.shape}")
+    x = np.atleast_2d(m)
     if kind is ScoreKind.ORDER:
-        r = np.maximum(0.0, T - m[None, :])
-        return -np.einsum("nd,nd->n", r, r)
-    if kind is ScoreKind.BILINEAR:
+        scores = np.empty((x.shape[0], T.shape[0]))
+        for _ in order_energy_chunks(x, T, scores):
+            pass
+        np.negative(scores, out=scores)
+    elif kind is ScoreKind.BILINEAR:
         if bilinear is None:
             raise ModelError("bilinear scoring requires a matrix")
-        return log_sigmoid(T @ (bilinear.T @ m))
-    return log_sigmoid(T @ m)
+        scores = log_sigmoid((x @ bilinear) @ T.T)
+    else:
+        scores = log_sigmoid(x @ T.T)
+    return scores if m.ndim == 2 else scores[0]
 
 
 def rank_types(
@@ -399,10 +437,10 @@ def rank_types(
     type_emb: np.ndarray,
     bilinear: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Type indexes ranked by descending score; ties break by ascending index."""
+    """Type indexes ranked by descending score, and the scores, for m of
+    shape (d,) or (B, d); ties break by ascending index."""
     scores = score_all_types(kind, m, type_emb, bilinear)
-    order = np.lexsort((np.arange(scores.shape[0]), -scores))
-    return order, scores
+    return np.argsort(-scores, axis=-1, kind="stable"), scores
 
 
 # ----------------------------------------------------------------------

@@ -50,6 +50,7 @@ from .model import (
     encode_vectors_cached,
     log_sigmoid,
     neg_log_one_minus_sigmoid,
+    order_energy_chunks,
     sample_dropout_masks,
     sigmoid,
     _tensor_shapes,
@@ -157,6 +158,8 @@ def _parse_encoder_mode(text: str) -> EncoderMode:
 
 def _parse_optional_path(text: str) -> str | None:
     s = text.strip()
+    if "\0" in s:  # open() would raise a bare ValueError
+        raise ValueError("path contains a NUL byte")
     return s or None
 
 
@@ -328,31 +331,36 @@ def _membership_grid(
     if kind is ScoreKind.ORDER:
         if margin <= 0:
             raise ModelError(f"order margin must be positive, got {margin!r}")
-        rect = y[None, :, :] - x[:, None, :]
-        np.maximum(rect, 0.0, out=rect)  # in place: one (B, N, d) buffer
-        energy = np.einsum("bnd,bnd->bn", rect, rect)
+        energy = np.empty(pos.shape)
+        d_x = np.zeros_like(x) if want_grads else None
+        d_y = np.empty_like(y) if want_grads else None
+        live = pos | neg
+        rect_bits = []  # laid out chunk by chunk
+        for s, e, rect in order_energy_chunks(x, y, energy):
+            if want_pattern:
+                rect_bits.append(np.packbits((rect > 0.0) & live[:, s:e, None]).tobytes())
+            if want_grads:
+                # dE/dx = -2 rect, dE/dy = +2 rect; hinge contributes -dE when active
+                coeff = pos[:, s:e].astype(np.float64) - (neg[:, s:e] & (energy[:, s:e] < margin))
+                d_x += np.einsum("bc,bcd->bd", coeff, rect)
+                np.einsum("bc,bcd->cd", coeff, rect, out=d_y[s:e])
         hinge_active = energy < margin
         loss_sum = float((energy * pos).sum() + (np.maximum(margin - energy, 0.0) * neg).sum())
         if want_pattern:
-            pattern = [
-                np.packbits((rect > 0.0) & (pos | neg)[:, :, None]).tobytes(),
-                np.packbits(hinge_active & neg).tobytes(),
-            ]
+            pattern = [b"".join(rect_bits), np.packbits(hinge_active & neg).tobytes()]
         if not want_grads:
             return _GridResult(loss_sum, None, None, None, pattern)
-        # dE/dx = -2 rect, dE/dy = +2 rect; hinge contributes -dE when active
-        coeff = pos.astype(np.float64) - (neg & hinge_active)
-        d_x = -2.0 * np.einsum("bn,bnd->bd", coeff, rect)
-        d_y = 2.0 * np.einsum("bn,bnd->nd", coeff, rect)
-        return _GridResult(loss_sum, d_x, d_y, None, pattern)
+        d_y *= 2.0
+        return _GridResult(loss_sum, -2.0 * d_x, d_y, None, pattern)
 
     if kind is ScoreKind.BILINEAR:
         if bilinear is None:
             raise ModelError("bilinear scoring requires a matrix")
-        right = y @ bilinear.T
+        xa = x @ bilinear
     else:
-        right = y
-    logits = x @ right.T
+        xa = x
+    # every GEMM below is B x d x N or B x d x d; none is N x d x d
+    logits = xa @ y.T
     s = sigmoid(logits)
     pos_terms = -log_sigmoid(logits)
     neg_terms = neg_log_one_minus_sigmoid(logits)
@@ -365,14 +373,11 @@ def _membership_grid(
     # d(-log sigma)/du = sigma - 1; d(-log(1-sigma))/du = sigma, but exactly 0
     # where the cap binds (the implemented loss is locally constant there)
     d_logits = np.where(pos, s - 1.0, 0.0) + np.where(neg & ~capped, s, 0.0)
-    d_x = d_logits @ right
+    dly = d_logits @ y
+    d_y = d_logits.T @ xa
     if kind is ScoreKind.BILINEAR:
-        d_y = d_logits.T @ (x @ bilinear)
-        d_a = x.T @ d_logits @ y
-    else:
-        d_y = d_logits.T @ x
-        d_a = None
-    return _GridResult(loss_sum, d_x, d_y, d_a, pattern)
+        return _GridResult(loss_sum, dly @ bilinear.T, d_y, x.T @ dly, pattern)
+    return _GridResult(loss_sum, dly, d_y, None, pattern)
 
 
 def _encoder_pattern(cache: EncoderCache) -> list[bytes]:

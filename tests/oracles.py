@@ -188,6 +188,33 @@ def structure_objective(pairs, type_rows, kind, *, bilinear=None, margin=1.0) ->
     return total / len(pairs)
 
 
+def logit_grid_gradients(xs, ys, pos, neg, bilinear=None):
+    """Gradients of sum over pos pairs of -log sigma(u) plus sum over neg
+    pairs of the capped -log(1 - sigma(u)), u = x' A y (A = identity when
+    bilinear is None), w.r.t. every x, every y and A, one pair at a time."""
+    d = len(xs[0])
+    A = [[float(bilinear[i][j]) if bilinear is not None else float(i == j) for j in range(d)]
+         for i in range(d)]
+    cap = -math.log(1.0 - (1.0 - SIGMOID_CLAMP))
+    d_x = [[0.0] * d for _ in xs]
+    d_y = [[0.0] * d for _ in ys]
+    d_a = [[0.0] * d for _ in range(d)]
+    for b, x in enumerate(xs):
+        for n, y in enumerate(ys):
+            u = sum(float(x[i]) * A[i][j] * float(y[j]) for i in range(d) for j in range(d))
+            g = 0.0
+            if pos[b][n]:
+                g += sigmoid(u) - 1.0
+            if neg[b][n] and neg_log_one_minus_sigmoid(u) < cap:
+                g += sigmoid(u)
+            for i in range(d):
+                for j in range(d):
+                    d_x[b][i] += g * A[i][j] * float(y[j])
+                    d_y[n][j] += g * float(x[i]) * A[i][j]
+                    d_a[i][j] += g * float(x[i]) * float(y[j])
+    return d_x, d_y, d_a
+
+
 # ----------------------------------------------------------------------
 # ranking metrics
 

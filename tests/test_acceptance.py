@@ -141,9 +141,9 @@ def test_c1_gradients_match_finite_differences():
                         )
                         _, grads, _ = loss(typing, sbatch, params, cfg, grads=True)
 
-                        def loss_fn(tensors):
-                            p = ModelParams.from_tensors(tensors)
-                            value, _, pattern = loss(typing, sbatch, p, cfg, pattern=True)
+                        def loss_fn(_tensors):
+                            # the checker perturbs the views of params.tensors() in place
+                            value, _, pattern = loss(typing, sbatch, params, cfg, pattern=True)
                             return value, pattern
 
                         rep = finite_difference_check(

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiertype import load_checkpoint
+from hiertype import load_checkpoint, read_corpus
 from hiertype.cli import main
+
+import synthtask
 
 LINKS = "cat\tanimal\tchild_of\ncar\tthing\tchild_of\n"
 STATS_LINE = "type_count=4 max_depth=2 mean_depth=1.5 links_child_of=2"
@@ -410,6 +412,75 @@ def test_eval_on_a_mutated_checkpoint_exits_0_or_2(task, tmp_path, capsys):
                    "--hierarchy", task["links"]])
         capsys.readouterr()
         assert rc in (0, 2), mutation
+
+    check()
+
+
+def test_train_rejects_nul_byte_in_config_embeddings_path(task, tmp_path, capsys):
+    # found by the byte-mutation test below: open() raised a bare ValueError
+    config = tmp_path / "nul.cfg"
+    config.write_bytes(open(task["config"], "rb").read().replace(b"emb.txt", b"emb\0.txt"))
+    assert main(["train", "--config", str(config), "--hierarchy", task["links"],
+                 "--train", task["train"], "--dev", task["dev"],
+                 "--out", str(tmp_path / "x.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "embeddings" in err and "NUL" in err, err
+
+
+BYTE_EDITS =st.lists(st.tuples(st.sampled_from("rid"), st.integers(0, 1 << 20), st.integers(0, 255)),
+                      min_size=1, max_size=3)
+
+
+def _edit_bytes(data: bytes, edits) -> bytes:
+    """Apply (replace | insert | delete, position, byte) edits; positions wrap."""
+    for op, at, byte in edits:
+        if op == "i":
+            at %= len(data) + 1
+            data = data[:at] + bytes([byte]) + data[at:]
+        elif data:
+            at %= len(data)
+            data = data[:at] + (bytes([byte]) if op == "r" else b"") + data[at + 1:]
+    return data
+
+
+def test_cli_on_byte_mutated_inputs_exits_0_or_2(tmp_path, capsys):
+    # every reader the CLI has, fed a few byte edits of a valid synthetic input
+    paths = synthtask.write_task_files(str(tmp_path), count=12, train_count=8, dim=4)
+    hierarchy, entities, model = (str(tmp_path / n) for n in ("h.json", "ents.tsv", "m.ckpt"))
+    config = tmp_path / "train.cfg"
+    config.write_text("dim=4\nfilter_width=3\nmention_score_kind=order\nstructure_weight=0.5\n"
+                      "structure_batch_size=4\ndropout=0.1\nbatch_size=4\npatience=2\n"
+                      f"embeddings={paths['embeddings']}\nmax_epochs=2", encoding="utf-8")
+    with open(entities, "w", encoding="utf-8") as fh:
+        for record in read_corpus(paths["train"]):
+            fh.write(f"{record.entity_id}\t{','.join(record.types)}\n")
+    train = ["train", "--config", str(config), "--hierarchy", paths["links"], "--train",
+             paths["train"], "--dev", paths["dev"], "--out", str(tmp_path / "out.ckpt")]
+    assert main(["build-hierarchy", "--links", paths["links"], "--out", hierarchy]) == 0
+    assert main([*train[:-1], model]) == 0
+    out = str(tmp_path / "out.txt")
+    targets = {  # name: (valid input, command reading the mutated copy at {})
+        "links": (paths["links"], ["stats", "--hierarchy", "{}"]),
+        "hierarchy": (hierarchy, ["stats", "--json", "--hierarchy", "{}"]),
+        "label": (paths["dev"], ["label", "--hierarchy", paths["links"], "--corpus", "{}",
+                                 "--out", out]),
+        "eval": (paths["dev"], ["eval", "--model", model, "--hierarchy", paths["links"],
+                                "--corpus", "{}"]),
+        "embeddings": (paths["embeddings"], [*train, "--embeddings", "{}"]),
+        "config": (str(config), [*train[:2], "{}", *train[3:]]),
+        "entities": (entities, ["derive-links", "--entities", "{}", "--out", out]),
+    }
+    originals = {name: open(src, "rb").read() for name, (src, _) in targets.items()}
+    mutated = tmp_path / "mutated"
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(targets)), BYTE_EDITS)
+    def check(name, edits):
+        mutated.write_bytes(_edit_bytes(originals[name], edits))
+        argv = [str(mutated) if a == "{}" else a for a in targets[name][1]]
+        rc = main(argv)
+        capsys.readouterr()
+        assert rc in (0, 2), (name, edits)
 
     check()
 

@@ -481,6 +481,36 @@ def test_rank_types_descending():
     assert scores[order[0]] >= scores[order[1]] >= scores[order[2]]
 
 
+def test_rank_types_batch_rows_equal_single_vector_results():
+    # a GEMM row of a batch may round differently from a lone vector, so the
+    # bilinear and dot inputs are small integers, whose products and sums are
+    # exact in any order; the order energy is elementwise, so floats are fine
+    rng = np.random.default_rng(17)
+    d, n = 4, 40  # over 16 rows numpy's default argsort is not stable
+    ints = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    ints[[3, 7]] = ints[1]  # planted ties: equal rows score equally
+    M_ints = rng.integers(-2, 3, size=(5, d)).astype(np.float64)
+    M_ints[0] = 0.0         # every dot and bilinear logit is 0: one n-way tie
+    A = rng.integers(-2, 3, size=(d, d)).astype(np.float64)
+    floats = rng.normal(size=(n, d))
+    floats[[2, 5]] = floats[0]
+    M_floats = rng.normal(size=(5, d))
+    M_floats[0] = floats.max(axis=0)  # dominates every row: all energies 0
+    cases = ((ScoreKind.ORDER, M_floats, floats, None), (ScoreKind.DOT, M_ints, ints, None),
+             (ScoreKind.BILINEAR, M_ints, ints, A))
+    for kind, M, T, mat in cases:
+        orders, scores = rank_types(kind, M, T, mat)
+        assert orders.shape == scores.shape == (5, n)
+        assert np.array_equal(orders[0], np.arange(n)), kind
+        for i, m in enumerate(M):
+            order, row = rank_types(kind, m, T, mat)
+            assert np.array_equal(orders[i], order) and np.array_equal(scores[i], row), (kind, i)
+            # descending score, ties by ascending index
+            assert np.array_equal(order, np.lexsort((np.arange(n), -row))), (kind, i)
+    with pytest.raises(ModelError):
+        score_all_types(ScoreKind.ORDER, np.zeros((1, 1, d)), floats)
+
+
 # ----------------------------------------------------------------------
 # checkpoints
 

@@ -31,7 +31,9 @@ from hiertype import (
     train,
     write_history,
 )
-from hiertype.training import EpochMetrics, PreparedMention, _sample_structure_batch
+from hiertype import model
+from hiertype.training import (EpochMetrics, PreparedMention, _membership_grid,
+                               _sample_structure_batch)
 
 import oracles
 from generators import random_model, random_sentence, structure_only_loss
@@ -482,9 +484,9 @@ def test_backward_structure_gradient_matches_finite_differences():
                        structure_weight=1.3, margin=0.9)
     _, grads, _ = loss(None, sbatch, params, cfg, grads=True)
 
-    def loss_fn(tensors):
-        p = ModelParams.from_tensors(tensors)
-        value, _, pattern = loss(None, sbatch, p, cfg, pattern=True)
+    def loss_fn(_tensors):
+        # the checker perturbs the views of params.tensors() in place
+        value, _, pattern = loss(None, sbatch, params, cfg, pattern=True)
         return value, pattern
 
     report = finite_difference_check(loss_fn, params.tensors(), grads)
@@ -595,9 +597,9 @@ def test_fd_check_encoder_kink_at_zero_bias():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT)
     _, grads, _ = loss(prepared, None, params, cfg, grads=True)
 
-    def loss_fn(tensors):
-        p = ModelParams.from_tensors(tensors)
-        value, _, pattern = loss(prepared, None, p, cfg, pattern=True)
+    def loss_fn(_tensors):
+        # the checker perturbs the views of params.tensors() in place
+        value, _, pattern = loss(prepared, None, params, cfg, pattern=True)
         return value, pattern
 
     tensors = params.tensors()
@@ -627,15 +629,88 @@ def test_fd_check_ragged_batch_with_dropout():
         cfg = small_config(dim=d, filter_width=w, mention_score_kind=kind)
         _, grads, _ = loss(prepared, None, params, cfg, masks, grads=True)
 
-        def loss_fn(tensors):
-            p = ModelParams.from_tensors(tensors)
-            value, _, pattern = loss(prepared, None, p, cfg, masks, pattern=True)
+        def loss_fn(_tensors):
+            # the checker perturbs the views of params.tensors() in place
+            value, _, pattern = loss(prepared, None, params, cfg, masks, pattern=True)
             return value, pattern
 
         report = finite_difference_check(loss_fn, params.tensors(), grads)
         assert np.count_nonzero(grads["cnn_w"]) > 0
         assert report.checked > 0.9 * sum(t.size for t in params.tensors().values())
         assert report.max_rel_error < 1e-4, (kind, report.worst)
+
+
+# ----------------------------------------------------------------------
+# the membership grid: the chunked order kernel and the logit grid
+
+
+def test_order_grid_chunks_match_one_chunk(monkeypatch):
+    rng = np.random.default_rng(40)
+    x, y = rng.normal(scale=0.6, size=(7, 4)), rng.normal(scale=0.6, size=(12, 4))
+    pos = rng.random((7, 12)) < 0.25
+    neg = ~pos & (rng.random((7, 12)) < 0.8)
+    monkeypatch.setattr(model, "ORDER_CHUNK", 5)
+    chunks = [(s, e) for s, e, _ in model.order_energy_chunks(x, y, np.empty((7, 12)))]
+    assert chunks == [(0, 5), (5, 10), (10, 12)]
+    split = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    split_scores = model.score_all_types(ScoreKind.ORDER, x, y)
+    monkeypatch.setattr(model, "ORDER_CHUNK", 12)
+    whole = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    assert split.loss_sum == whole.loss_sum
+    assert np.array_equal(split.d_y, whole.d_y)
+    assert np.allclose(split.d_x, whole.d_x, rtol=0.0, atol=1e-12)
+    assert np.array_equal(split_scores, model.score_all_types(ScoreKind.ORDER, x, y))
+    assert split.pattern[1] == whole.pattern[1]  # hinge bits; the rect bits are laid out per chunk
+
+
+def test_fd_check_multi_chunk_order_grid(monkeypatch):
+    # 12 types in chunks of 5, 5 and 2: every chunk's rectifier bits are in
+    # the pattern, and d_x sums over all three chunks
+    monkeypatch.setattr(model, "ORDER_CHUNK", 5)
+    rng = np.random.default_rng(41)
+    d, n_types = 4, 12
+    params = random_model(rng, d, 3, n_types, with_bilinear=False)
+    typing = []
+    for i in range(5):
+        wv, span = random_sentence(rng, d)
+        typing.append(PreparedMention(word_vectors=wv, span=span, gold=(i, 11 - i)))
+    sbatch = [(0, (1, 6)), (5, (11,)), (11, (2, 7, 10)), (8, (9,))]
+    for typing_batch, structure_batch, weight in ((typing, None, 0.0), (None, sbatch, 1.0)):
+        cfg = small_config(dim=d, mention_score_kind=ScoreKind.ORDER,
+                           structure_score_kind=ScoreKind.ORDER, structure_weight=weight)
+        _, grads, _ = loss(typing_batch, structure_batch, params, cfg, grads=True)
+
+        def loss_fn(_tensors):
+            # the checker perturbs the views of params.tensors() in place
+            value, _, pattern = loss(typing_batch, structure_batch, params, cfg, pattern=True)
+            return value, pattern
+
+        report = finite_difference_check(loss_fn, params.tensors(), grads)
+        live = grads["type_emb"].size + (grads["w1"].size if typing_batch else 0)
+        assert report.checked > 0.5 * live
+        assert report.max_rel_error < 1e-4, report.worst
+
+
+def test_logit_grid_gradients_match_scalar_oracle():
+    rng = np.random.default_rng(42)
+    x, y = rng.normal(scale=0.6, size=(5, 4)), rng.normal(scale=0.6, size=(7, 4))
+    A = rng.normal(scale=0.6, size=(4, 4))
+    pos = rng.random((5, 7)) < 0.3
+    neg = ~pos & (rng.random((5, 7)) < 0.8)
+    pos[1, 6], neg[1, 6] = False, True
+    for kind, mat in ((ScoreKind.BILINEAR, A), (ScoreKind.DOT, None)):
+        rows = y.copy()
+        v = x[1] @ mat if mat is not None else x[1]
+        rows[6] = 40.0 * v / (v @ v)  # logit 40: the capped negative branch
+        grid = _membership_grid(kind, x, rows, mat, 1.0, pos, neg, True, True)
+        assert np.any(np.unpackbits(np.frombuffer(grid.pattern[0], dtype=np.uint8)))
+        d_x, d_y, d_a = oracles.logit_grid_gradients(x, rows, pos, neg, mat)
+        assert np.allclose(grid.d_x, d_x, rtol=0.0, atol=1e-12), kind
+        assert np.allclose(grid.d_y, d_y, rtol=0.0, atol=1e-12), kind
+        if mat is None:
+            assert grid.d_a is None
+        else:
+            assert np.allclose(grid.d_a, d_a, rtol=0.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
