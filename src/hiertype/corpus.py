@@ -8,7 +8,9 @@ names that exist in the hierarchy; mentions with no usable type are skipped.
 Corpus files are JSONL (one object per line with ``tokens``, ``span``,
 ``entity_id``, optional ``types``) or a TSV fallback
 ``entity_id<TAB>t1<TAB>t2<TAB>space-joined-tokens<TAB>comma-joined-types``.
-Embedding files are whitespace separated: ``token v1 ... vd``.
+Embedding files are whitespace separated: ``token v1 ... vd``.  One
+``np.loadtxt`` pass parses them; a file it does not accept is re-read by the
+per-line ``float()`` loop, which defines the result, warnings and errors.
 """
 
 from __future__ import annotations
@@ -103,7 +105,7 @@ class EmbeddingTable:
         self._lookup = {t: i for i, t in enumerate(self._tokens)}
         if len(self._lookup) != len(self._tokens):
             raise EmbeddingError("duplicate tokens in embedding table")
-        self._matrix = matrix
+        self._matrix = matrix.view()  # freezes this view, not the caller's array
         self._matrix.flags.writeable = False
         self._oov = np.zeros(matrix.shape[1], dtype=np.float64)
         self._oov.flags.writeable = False
@@ -141,8 +143,35 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path: str, dim: int) -> "EmbeddingTable":
+        """One ``np.loadtxt`` pass; a file it does not accept goes to ``_load_per_line``."""
         if dim < 1:
             raise EmbeddingError(f"embedding dimension must be positive, got {dim}")
+        first, duplicates = {}, []  # token -> its values; (line number, token)
+        try:  # a ValueError (UnicodeDecodeError is one) hands the file over
+            with open(path, encoding="utf-8") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    head = line.split(None, 1)
+                    if len(head) == 2 and head[0] not in first:
+                        first[head[0]] = head[1]
+                    elif head and len(line.split()) != dim + 1:  # a lone token too
+                        raise ValueError
+                    elif head:
+                        duplicates.append((line_no, head[0]))
+            if not first:
+                raise ValueError
+            matrix = np.loadtxt(list(first.values()), np.float64, comments=None, ndmin=2)
+            finite = np.isfinite(matrix.min()) and np.isfinite(matrix.max())
+            if matrix.shape != (len(first), dim) or not finite:
+                raise ValueError
+        except ValueError:
+            return cls._load_per_line(path, dim)
+        for line_no, token in duplicates:
+            log.warning("%s:%d: duplicate token %r, keeping first", path, line_no, token)
+        return cls(list(first), matrix)
+
+    @classmethod
+    def _load_per_line(cls, path: str, dim: int) -> "EmbeddingTable":
+        """The reference semantics: every value goes through ``float()``."""
         tokens: list[str] = []
         rows: list[list[float]] = []
         seen: set[str] = set()

@@ -322,3 +322,57 @@ def subset_pairs(entity_types) -> set[tuple[str, str]]:
             if t1 != t2 and e1 <= e2:
                 out.add((t1, t2))
     return out
+
+
+# ----------------------------------------------------------------------
+# embedding files, one line and one float() at a time
+
+
+class EmbeddingFileError(Exception):
+    """The error the per-line loader raises; its message is the package's."""
+
+
+def load_embeddings_per_line(path: str, dim: int, warnings: list[str]):
+    """The per-line embedding loader the package had before it parsed the
+    values in one pass: returns ``(tokens, rows)`` with ``rows`` lists of
+    Python floats, or raises ``EmbeddingFileError``.  Each duplicate-token
+    warning is appended to ``warnings`` when the line is reached, so an
+    error leaves the ones logged before it.  The file is read in text mode:
+    a line that does not decode is reached after the lines of every earlier
+    decoded chunk, as in the package."""
+    tokens, rows, line_nos, seen = [], [], [], set()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                parts = line.split()
+                if not parts:
+                    continue
+                token, values = parts[0], parts[1:]
+                if len(values) != dim:
+                    raise EmbeddingFileError(
+                        f"{path}:{line_no}: expected {dim} values, got {len(values)}")
+                if token in seen:
+                    warnings.append(f"{path}:{line_no}: duplicate token {token!r}, keeping first")
+                    continue
+                try:
+                    row = [float(v) for v in values]
+                except ValueError as exc:
+                    raise EmbeddingFileError(f"{path}:{line_no}: {exc}") from exc
+                seen.add(token)
+                tokens.append(token)
+                rows.append(row)
+                line_nos.append(line_no)
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    break
+        raise EmbeddingFileError(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from exc
+    if not tokens:
+        raise EmbeddingFileError(f"{path}: no embeddings found")
+    for line_no, token, row in zip(line_nos, tokens, rows):
+        if not all(math.isfinite(v) for v in row):
+            raise EmbeddingFileError(f"{path}:{line_no}: non-finite value for {token!r}")
+    return tokens, rows

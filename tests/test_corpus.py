@@ -2,6 +2,9 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from hiertype import (
     CorpusError,
@@ -71,6 +74,20 @@ def test_labeled_example_requires_gold():
 # embeddings
 
 
+@pytest.fixture
+def per_line_loads(monkeypatch):
+    """Paths that ``EmbeddingTable.load`` handed to its per-line loader."""
+    calls = []
+    per_line = EmbeddingTable._load_per_line
+
+    def spy(cls, path, dim):
+        calls.append(path)
+        return per_line(path, dim)
+
+    monkeypatch.setattr(EmbeddingTable, "_load_per_line", classmethod(spy))
+    return calls
+
+
 def test_embedding_lookup_and_oov(tmp_path):
     p = tmp_path / "emb.txt"
     p.write_text("the 1.0 2.0\nCat 3.5 -1.25\n", encoding="utf-8")
@@ -101,17 +118,31 @@ def test_embedding_load_errors(tmp_path):
     with pytest.raises(EmbeddingError) as exc:
         EmbeddingTable.load(str(p), dim=2)
     assert ":2:" in str(exc.value)
+    assert str(exc.value) == f"{p}:2: expected 2 values, got 1"
 
     p.write_text("a 1.0 oops\n", encoding="utf-8")
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(EmbeddingError) as exc:
         EmbeddingTable.load(str(p), dim=2)
+    assert str(exc.value) == f"{p}:1: could not convert string to float: 'oops'"
+
+    # every row the same wrong width, a lone token, and a comment character
+    # float() does not read: np.loadtxt alone would take the first and last
+    for text, message in (("a 1 2 3\nb 4 5 6\n", "1: expected 2 values, got 3"),
+                          ("a\n", "1: expected 2 values, got 0"),
+                          ("a 1.0 2.0#\n", "1: could not convert string to float: '2.0#'")):
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(EmbeddingError) as exc:
+            EmbeddingTable.load(str(p), dim=2)
+        assert str(exc.value) == f"{p}:{message}"
 
     p.write_text("\n\n", encoding="utf-8")
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(EmbeddingError) as exc:
         EmbeddingTable.load(str(p), dim=2)
+    assert str(exc.value) == f"{p}: no embeddings found"
 
-    with pytest.raises(EmbeddingError):
+    with pytest.raises(EmbeddingError) as exc:
         EmbeddingTable.load(str(p), dim=0)
+    assert str(exc.value) == "embedding dimension must be positive, got 0"
 
 
 def test_embedding_load_rejects_non_finite_values(tmp_path):
@@ -131,14 +162,22 @@ def test_embedding_load_locates_bytes_that_are_not_utf8(tmp_path):
     assert f"{p}:2:" in str(exc.value) and "UTF-8" in str(exc.value)
 
 
-def test_embedding_duplicate_token_keeps_first(tmp_path, caplog):
+def test_embedding_duplicate_token_keeps_first(tmp_path, caplog, per_line_loads):
     p = tmp_path / "emb.txt"
-    p.write_text("a 1.0\na 2.0\n", encoding="utf-8")
-    with caplog.at_level(logging.WARNING, logger="hiertype.corpus"):
-        emb = EmbeddingTable.load(str(p), dim=1)
-    assert len(emb) == 1
-    assert emb.lookup("a")[0] == 1.0
-    assert any("duplicate" in r.message for r in caplog.records)
+    # the second file holds a literal only float() reads, so the per-line
+    # loader reads it after the one-pass parse gave up
+    for text, per_line in (("a 1.0\na 2.0\n", 0), ("a 1.0\na 2.0\nb 1_0\n", 1)):
+        p.write_text(text, encoding="utf-8")
+        caplog.clear()
+        per_line_loads.clear()
+        with caplog.at_level(logging.WARNING, logger="hiertype.corpus"):
+            emb = EmbeddingTable.load(str(p), dim=1)
+        assert len(emb) == text.count("\n") - 1
+        assert emb.lookup("a")[0] == 1.0
+        assert any("duplicate" in r.message for r in caplog.records)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{p}:2: duplicate token 'a', keeping first"]
+        assert len(per_line_loads) == per_line
 
 
 def test_embedding_table_shape_check():
@@ -146,6 +185,112 @@ def test_embedding_table_shape_check():
         EmbeddingTable(["a", "b"], np.zeros((3, 2)))
     with pytest.raises(EmbeddingError):
         EmbeddingTable(["a", "a"], np.zeros((2, 2)))
+
+
+def test_embedding_table_freezes_a_view_not_the_callers_array():
+    a = np.zeros((2, 3))
+    table = EmbeddingTable(["x", "y"], a)
+    assert a.flags.writeable
+    assert not table.matrix.flags.writeable
+    assert np.shares_memory(a, table.matrix)
+    a[1, 2] = 4.0
+    assert table.lookup("y")[2] == 4.0
+
+
+# Literals whose float64 bits are easy to get wrong: a subnormal, a signed
+# zero, the largest double, a mantissa beyond 17 digits, and an explicit
+# sign with no integer digits.  np.loadtxt reads these as float() does.
+HARD_LITERALS = ("1e-320", "-0.0", "1.7976931348623157e308",
+                 "0.1000000000000000055511151231257827", "+.5e-3")
+# float() also reads underscores and non-ASCII digits; np.loadtxt does not,
+# so a file that holds one goes to the per-line loader
+PER_LINE_LITERALS = ("1_0", "1e5_0", "\u0661\u0662", "\uff11\uff12")
+SEPARATORS = (" ", "\t", "\xa0", "\u2003", "\u3000", "\x0c", "\x1c")
+LINE_ENDS = (b"\n", b"\r\n", b"\r")
+
+
+@pytest.mark.parametrize("literals, per_line", [
+    (HARD_LITERALS, 0), (HARD_LITERALS + PER_LINE_LITERALS, 1)])
+def test_embedding_load_reads_hard_literals_bit_exactly(tmp_path, per_line_loads,
+                                                        literals, per_line):
+    p = tmp_path / "emb.txt"
+    rows = [(lit, literals[-1 - i]) for i, lit in enumerate(literals)]
+    with open(p, "wb") as fh:
+        for i, values in enumerate(rows):
+            sep = SEPARATORS[i % len(SEPARATORS)]
+            line = sep.join((f"t{i}", *values)).encode("utf-8")
+            fh.write(line + LINE_ENDS[i % len(LINE_ENDS)])
+    emb = EmbeddingTable.load(str(p), dim=2)
+    want = np.array([[float(v) for v in values] for values in rows])
+    assert emb.tokens == tuple(f"t{i}" for i in range(len(rows)))
+    assert np.array_equal(emb.matrix.view(np.int64), want.view(np.int64))
+    assert len(per_line_loads) == per_line
+
+
+# pieces of generated embedding files: few tokens so duplicates are common,
+# rows of the right width or not, values that are good, non-finite or not
+# numbers at all, and every separator str.split() and np.loadtxt agree on
+EMB_DIM = 2
+EMB_TOKENS = st.sampled_from(["a", "b", "c", "d", "e", "\u00e9"])
+EMB_GOOD = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                     st.integers(-10**20, 10**20).map(str),
+                     st.sampled_from(["0.5", "-1e-320", "+.5e-3", "1E5"]))
+EMB_ODD = st.sampled_from(["nan", "-inf", "Infinity", "1e999", "oops", "0x1p3", "1_0",
+                           "\u0661", "1.0#", ".", "1,5"])
+EMB_BLANK = st.sampled_from(["", " ", "\t\x0c"])
+
+
+def _emb_row(values):
+    return st.tuples(EMB_TOKENS, values, st.sampled_from(SEPARATORS)).map(
+        lambda t: t[2].join((t[0], *t[1])))
+
+
+EMB_CLEAN_LINE = EMB_BLANK | _emb_row(st.lists(EMB_GOOD, min_size=EMB_DIM, max_size=EMB_DIM))
+EMB_LINE = EMB_CLEAN_LINE | _emb_row(st.lists(EMB_GOOD | EMB_ODD, max_size=4))
+# a file of clean lines can still hold duplicates; it takes the one-pass route
+EMB_HEAD = st.lists(EMB_CLEAN_LINE, max_size=8) | st.lists(EMB_LINE, max_size=8)
+
+
+def test_embedding_load_matches_the_per_line_oracle(tmp_path, caplog, per_line_loads):
+    p = tmp_path / "emb.txt"
+    paths = {"one pass": 0, "per line": 0}
+
+    @settings(max_examples=150)
+    @given(EMB_HEAD, st.lists(EMB_LINE, max_size=4),
+           st.sampled_from(LINE_ENDS), st.integers(-12, 3))
+    def check(head, tail, end, bad_byte_at):
+        # a padding block of good rows pushes the tail past the first 8 KiB
+        # text chunk, where a byte that is not UTF-8 sits
+        lines = [line.encode("utf-8") for line in head]
+        if bad_byte_at >= 0:
+            lines += [f"pad{i} 0.25 -1.5".encode() for i in range(600)]
+            tail_lines = [line.encode("utf-8") for line in tail]
+            tail_lines.insert(min(bad_byte_at, len(tail_lines)), b"a\xff 1 2")
+            lines += tail_lines
+        p.write_bytes(b"".join(line + end for line in lines))
+        want_warnings = []
+        try:
+            want = oracles.load_embeddings_per_line(str(p), EMB_DIM, want_warnings)
+        except oracles.EmbeddingFileError as exc:
+            want = str(exc)
+        caplog.clear()
+        per_line_loads.clear()
+        try:
+            emb = EmbeddingTable.load(str(p), dim=EMB_DIM)
+        except EmbeddingError as exc:
+            assert str(exc) == want
+        else:
+            assert not isinstance(want, str), want
+            tokens, rows = want
+            assert emb.tokens == tuple(tokens)
+            got, expect = emb.matrix, np.array(rows, dtype=np.float64)
+            assert np.array_equal(got.view(np.int64), expect.view(np.int64))
+        assert [r.getMessage() for r in caplog.records] == want_warnings
+        paths["per line" if per_line_loads else "one pass"] += 1
+
+    with caplog.at_level(logging.WARNING, logger="hiertype.corpus"):
+        check()
+    assert all(paths.values()), paths
 
 
 # ----------------------------------------------------------------------
