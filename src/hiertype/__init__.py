@@ -44,7 +44,6 @@ from .model import (
     CheckpointError,
     DropoutMasks,
     EncoderMode,
-    EncoderParams,
     ModelError,
     ModelParams,
     ScoreKind,

@@ -274,7 +274,7 @@ def _cmd_score(args) -> int:
     mention = Mention(tokens=tuple(tokens), span=(args.span[0], args.span[1]))
     if args.top < 1:
         raise UsageError(f"--top must be positive, got {args.top}")
-    m = encode_mention(ckpt.params.encoder, [mention], ckpt.embedding_table(), ckpt.encoder_mode)[0]
+    m = encode_mention(ckpt.params, [mention], ckpt.embedding_table(), ckpt.encoder_mode)[0]
     order, scores = rank_types(ckpt.mention_score_kind, m, ckpt.params.type_emb, ckpt.params.bilinear)
     for i in order[: args.top]:
         print(f"{ckpt.type_names[i]}\t{float(scores[i])!r}")

@@ -86,7 +86,7 @@ def evaluate_model(
     aps = []
     for start in range(0, len(examples), EVAL_BATCH):
         chunk = examples[start:start + EVAL_BATCH]
-        encoded = encode_mention(params.encoder, [ex.mention for ex in chunk], emb, mode)
+        encoded = encode_mention(params, [ex.mention for ex in chunk], emb, mode)
         orders, _ = rank_types(kind, encoded, params.type_emb, params.bilinear)
         for ex, order in zip(chunk, orders):
             gold = {t.index for t in ex.gold_types}

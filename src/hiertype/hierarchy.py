@@ -167,9 +167,9 @@ class TypeHierarchy:
         seen: set[tuple] = set()
         duplicates = 0
         for child, parent, kind in raw_links:
-            ci, pi = intern(child), intern(parent)
             if name_order is not None and (child not in index or parent not in index):
                 raise HierarchyError(f"{source}: link names a type outside the declared order")
+            ci, pi = intern(child), intern(parent)
             if ci == pi and kind is not LinkKind.EQUIVALENCE:
                 raise HierarchyError(f"{source}: self link on {child!r} ({kind.value})")
             if kind is LinkKind.EQUIVALENCE:
@@ -550,16 +550,10 @@ def derive_cooccurrence_links(
             for t2 in ts:
                 if t1 != t2:
                     pairs[(t1, t2)] += 1
-    links: list[Link] = []
-    for t1 in names:
-        n1 = singles.get(t1, 0)
-        if n1 == 0:
-            continue
-        for t2 in names:
-            if t1 == t2:
-                continue
-            if pairs.get((t1, t2), 0) / n1 >= threshold:
-                if allowed_pairs is not None and (t1, t2) not in allowed_pairs:
-                    continue
-                links.append(Link(ids[t1], ids[t2], LinkKind.FB_FB))
-    return links
+    # a pair that never co-occurs has frequency 0 < threshold, and sorted
+    # names give (child index, parent index) order
+    return [
+        Link(ids[t1], ids[t2], LinkKind.FB_FB)
+        for (t1, t2), both in sorted(pairs.items())
+        if both / singles[t1] >= threshold and (allowed_pairs is None or (t1, t2) in allowed_pairs)
+    ]

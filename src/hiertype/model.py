@@ -24,6 +24,12 @@ the ReLU rows into a (B, max J_i, d) grid filled with -1 and takes the
 first argmax per mention and output dim.  The head is two GEMMs over
 (B, 2d) and (B, d) rows, so every encoder output is (B, d).
 
+The encoder, the type embeddings and the bilinear maps are trained
+jointly and live in one ``ModelParams``, whose fields are the tensors of
+``_tensor_shapes`` in table order; the encoder functions read it directly.
+Dropout masks for a batch come from one ``sample_dropout_masks`` call as
+(B, 2d) and (B, d) arrays.
+
 Scoring a pair (x, y) for "x is a member / descendant of y" comes in three
 kinds.  Order: score = -||max(0, y - x)||^2 and the non-membership penalty
 is the hinge max(0, margin - E).  Bilinear: score = log sigma(x' A y),
@@ -41,13 +47,12 @@ buffer, never a (B, N, d) array.  Bilinear scores are associated as
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -118,9 +123,17 @@ def _views(vector: np.ndarray, shapes: Mapping[str, Sequence[int]]) -> dict[str,
 
 
 @dataclass
-class EncoderParams:
-    """Encoder tensors, shaped as ``_tensor_shapes`` says; cnn_w is indexed
-    [tap, in, out]."""
+class ModelParams:
+    """Full trainable state: one field per ``_tensor_shapes`` tensor, in
+    table order; cnn_w is indexed [tap, in, out].
+
+    Every present tensor is a reshaped view of one float64 vector ``flat``,
+    laid out in that order.  The constructor copies the given tensors into
+    a new vector.  Only code in this module passes ``flat``: a vector that
+    already holds the tensors' values in that layout, used as it is.
+    Update tensors in place: an attribute rebound to another array is no
+    longer part of ``flat``.
+    """
 
     cnn_w: np.ndarray
     cnn_b: np.ndarray
@@ -128,15 +141,26 @@ class EncoderParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
+    type_emb: np.ndarray
+    bilinear: np.ndarray | None = None
+    bilinear_structure: np.ndarray | None = None
+    flat: np.ndarray | None = field(default=None, kw_only=True, repr=False)
 
     def __post_init__(self):
-        for name, t in list(vars(self).items()):
+        for name, t in self.tensors().items():
             setattr(self, name, np.asarray(t, dtype=np.float64))
         if self.cnn_w.ndim != 3 or self.cnn_w.shape[1] != self.cnn_w.shape[2]:
             raise ModelError(f"cnn filter must map d -> d, got {self.cnn_w.shape}")
         if self.filter_width % 2 == 0:
             raise ModelError(f"filter width must be odd and positive, got {self.filter_width}")
-        _check_shapes(vars(self), _tensor_shapes(self.dim, self.filter_width, 0))
+        if self.type_emb.ndim != 2:
+            raise ModelError(f"type embeddings must be (n_types, d), got {self.type_emb.shape}")
+        tensors = self.tensors()
+        _check_shapes(tensors, _tensor_shapes(self.dim, self.filter_width, self.n_types))
+        if self.flat is None:
+            self.flat = np.concatenate([t.ravel() for t in tensors.values()])
+        for name, view in self.split(self.flat).items():
+            setattr(self, name, view)
 
     @property
     def dim(self) -> int:
@@ -146,48 +170,13 @@ class EncoderParams:
     def filter_width(self) -> int:
         return self.cnn_w.shape[0]
 
-
-@dataclass
-class ModelParams:
-    """Full trainable state: encoder, type embeddings, optional bilinear maps.
-
-    Every present tensor, the encoder's included, is a reshaped view of one
-    float64 vector ``flat``, laid out in ``_tensor_shapes`` order.  The
-    constructor copies the given tensors into a new vector.  Only code in
-    this module passes ``flat``: a vector that already holds the tensors'
-    values in that layout, used as it is.  Update tensors in place: an
-    attribute rebound to another array is no longer part of ``flat``.
-    """
-
-    encoder: EncoderParams
-    type_emb: np.ndarray
-    bilinear: np.ndarray | None = None
-    bilinear_structure: np.ndarray | None = None
-    flat: np.ndarray | None = field(default=None, kw_only=True, repr=False)
-
-    def __post_init__(self):
-        # another model built from the same encoder object keeps its own views
-        self.encoder = copy.copy(self.encoder)
-        self.type_emb = np.asarray(self.type_emb, dtype=np.float64)
-        if self.type_emb.ndim != 2:
-            raise ModelError(f"type embeddings must be (n_types, d), got {self.type_emb.shape}")
-        tensors = {n: np.asarray(t, dtype=np.float64) for n, t in self.tensors().items()}
-        _check_shapes(tensors, _tensor_shapes(self.encoder.dim, self.encoder.filter_width, self.n_types))
-        if self.flat is None:
-            self.flat = np.concatenate([t.ravel() for t in tensors.values()])
-        for name, view in _views(self.flat, {n: t.shape for n, t in tensors.items()}).items():
-            setattr(self.encoder if name in vars(self.encoder) else self, name, view)
-
     @property
     def n_types(self) -> int:
         return self.type_emb.shape[0]
 
     def tensors(self) -> dict[str, np.ndarray]:
-        """Named views of every present tensor, in table order."""
-        enc = self.encoder
-        present = {**vars(enc), **vars(self)}
-        table = _tensor_shapes(enc.dim, enc.filter_width, self.n_types)
-        return {n: present[n] for n in table if present[n] is not None}
+        """Every present tensor by name, in table order."""
+        return {n: t for n, t in vars(self).items() if n != "flat" and t is not None}
 
     def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
         """Named views of a vector laid out like ``flat``, in table order."""
@@ -196,30 +185,27 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return replace(self, flat=self.flat.copy())
 
-    @classmethod
-    def from_tensors(cls, tensors: Mapping[str, np.ndarray], *,
-                     flat: np.ndarray | None = None) -> "ModelParams":
-        enc = EncoderParams(**{f.name: tensors[f.name] for f in fields(EncoderParams)})
-        return cls(enc, tensors["type_emb"], tensors.get("bilinear"),
-                   tensors.get("bilinear_structure"), flat=flat)
-
 
 @dataclass(frozen=True)
 class DropoutMasks:
-    """Inverted-dropout multipliers for one mention: concat input (2d,)
-    and post-ReLU hidden (d,).  All-ones means dropout is a no-op."""
+    """Inverted-dropout multipliers for a batch of B mentions, one row per
+    mention: concat input (B, 2d) and post-ReLU hidden (B, d).  All-ones
+    means dropout is a no-op."""
 
     concat: np.ndarray
     hidden: np.ndarray
 
 
-def sample_dropout_masks(rng: np.random.Generator, dim: int, p: float) -> DropoutMasks:
+def sample_dropout_masks(rng: np.random.Generator, batch: int, dim: int, p: float) -> DropoutMasks:
+    """Masks for ``batch`` mentions, cut from one (batch, 3d) uniform draw:
+    row i holds mention i's 2d concat values, then its d hidden values, so
+    the masks and the generator's next value are those of drawing
+    random(2d) and random(d) mention by mention."""
     if not 0.0 <= p < 1.0:
         raise ModelError(f"dropout probability must be in [0, 1), got {p!r}")
     keep = 1.0 - p
-    concat = (rng.random(2 * dim) < keep).astype(np.float64) / keep
-    hidden = (rng.random(dim) < keep).astype(np.float64) / keep
-    return DropoutMasks(concat=concat, hidden=hidden)
+    scaled = (rng.random((batch, 3 * dim)) < keep).astype(np.float64) / keep
+    return DropoutMasks(concat=scaled[:, :2 * dim], hidden=scaled[:, 2 * dim:])
 
 
 # ----------------------------------------------------------------------
@@ -274,7 +260,7 @@ def _check_word_vectors(word_vectors: np.ndarray, d: int) -> np.ndarray:
     return wv
 
 
-def cnn_forward_cached(p: EncoderParams, word_vectors: Sequence[np.ndarray]) -> CnnCache:
+def cnn_forward_cached(p: ModelParams, word_vectors: Sequence[np.ndarray]) -> CnnCache:
     """CNN + max-pool over a batch of sentences as one im2col GEMM."""
     w, d = p.filter_width, p.dim
     half = w // 2
@@ -331,17 +317,21 @@ class EncoderCache:
 
 
 def encode_vectors_cached(
-    p: EncoderParams,
+    p: ModelParams,
     word_vectors: Sequence[np.ndarray],
     spans: Sequence[tuple[int, int]],
     mode: EncoderMode,
-    masks: Sequence[DropoutMasks] | None = None,
+    masks: DropoutMasks | None = None,
 ) -> EncoderCache:
     """Encode a batch of mentions, given as word vectors and spans."""
     d = p.dim
     wvs = [_check_word_vectors(wv, d) for wv in word_vectors]
-    if len(spans) != len(wvs) or (masks is not None and len(masks) != len(wvs)):
-        raise ModelError("need one span and one dropout mask set per sentence")
+    if len(spans) != len(wvs):
+        raise ModelError("need one span per sentence")
+    if masks is not None and (masks.concat.shape != (len(wvs), 2 * d)
+                              or masks.hidden.shape != (len(wvs), d)):
+        raise ModelError(f"dropout masks must be ({len(wvs)}, {2 * d}) and ({len(wvs)}, {d}), "
+                         f"got {masks.concat.shape} and {masks.hidden.shape}")
     if not wvs:
         raise ModelError("cannot encode an empty batch")
     sfm = np.stack([surface_average(wv, span) for wv, span in zip(wvs, spans)])
@@ -351,10 +341,7 @@ def encode_vectors_cached(
     else:
         cnn = None
         m_cnn = np.zeros_like(sfm)
-    concat_mask = hidden_mask = 1.0
-    if masks is not None:
-        concat_mask = np.stack([m.concat for m in masks])
-        hidden_mask = np.stack([m.hidden for m in masks])
+    concat_mask, hidden_mask = (1.0, 1.0) if masks is None else (masks.concat, masks.hidden)
     dropped = np.concatenate([sfm, m_cnn], axis=1) * concat_mask
     pre = dropped @ p.w1.T + p.b1
     hidden_dropped = np.maximum(pre, 0.0) * hidden_mask
@@ -367,7 +354,7 @@ def encode_vectors_cached(
 
 
 def encode_mention(
-    p: EncoderParams,
+    p: ModelParams,
     mentions: Sequence[Mention],
     emb: EmbeddingTable,
     mode: EncoderMode,
@@ -467,10 +454,10 @@ class Checkpoint:
             raise CheckpointError(
                 f"{len(self.type_names)} type name(s) for {self.params.n_types} embedding row(s)"
             )
-        if self.word_emb.shape != (len(self.vocab), self.params.encoder.dim):
+        if self.word_emb.shape != (len(self.vocab), self.params.dim):
             raise CheckpointError(
                 f"word embedding block {self.word_emb.shape} does not match "
-                f"{len(self.vocab)} token(s) at dim {self.params.encoder.dim}"
+                f"{len(self.vocab)} token(s) at dim {self.params.dim}"
             )
 
     def embedding_table(self) -> EmbeddingTable:
@@ -480,13 +467,13 @@ class Checkpoint:
 def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
     """Header JSON line + raw little-endian float64 tensors in table order:
     the parameter arena, then the word embeddings."""
-    params, enc = ckpt.params, ckpt.params.encoder
-    table = _tensor_shapes(enc.dim, enc.filter_width, params.n_types, len(ckpt.vocab))
+    params = ckpt.params
+    table = _tensor_shapes(params.dim, params.filter_width, params.n_types, len(ckpt.vocab))
     header = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "dim": enc.dim,
-        "filter_width": enc.filter_width,
+        "dim": params.dim,
+        "filter_width": params.filter_width,
         "n_types": params.n_types,
         "encoder_mode": ckpt.encoder_mode.value,
         "mention_score_kind": ckpt.mention_score_kind.value,
@@ -546,6 +533,9 @@ def _checked_header(path: str, line: bytes) -> tuple[dict, list]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape}, but the header's dim, "
                 f"filter_width, n_types and vocab give {expected[name]}")
+    missing = [n for n in expected if n not in names and n not in ("bilinear", "bilinear_structure")]
+    if missing:
+        raise CheckpointError(f"{path}: header 'tensors' lacks required tensor {missing[0]!r}")
     if names != [n for n in expected if n in names]:
         raise CheckpointError(f"{path}: header 'tensors' is not in file order {list(expected)}")
     return header, specs
@@ -575,7 +565,7 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointError(f"{path}: tensor {name!r} holds non-finite values")
     try:
         word_emb = tensors.pop("word_emb")
-        params = ModelParams.from_tensors(tensors, flat=values[:values.size - word_emb.size])
+        params = ModelParams(**tensors, flat=values[:values.size - word_emb.size])
         skind = header["structure_score_kind"]
         ckpt = Checkpoint(
             params=params,

@@ -43,7 +43,6 @@ from .model import (
     DropoutMasks,
     EncoderCache,
     EncoderMode,
-    EncoderParams,
     ModelError,
     ModelParams,
     ScoreKind,
@@ -127,6 +126,8 @@ class TrainConfig:
             raise ConfigError("adam betas must be in [0, 1)")
         if self.adam_eps <= 0:
             raise ConfigError(f"adam_eps must be positive, got {self.adam_eps!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.share_bilinear:
             if self.mention_score_kind is not ScoreKind.BILINEAR or self.effective_structure_kind() is not ScoreKind.BILINEAR:
                 raise ConfigError("share_bilinear requires bilinear mention and structure scoring")
@@ -256,8 +257,7 @@ def init_model(n_types: int, config: TrainConfig, rng: np.random.Generator | Non
                                and config.effective_structure_kind() is ScoreKind.BILINEAR),
     }
     shapes = _tensor_shapes(config.dim, config.filter_width, n_types)
-    return ModelParams.from_tensors(
-        {n: glorot_init(s, rng) for n, s in shapes.items() if present.get(n, True)})
+    return ModelParams(**{n: glorot_init(s, rng) for n, s in shapes.items() if present.get(n, True)})
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +389,7 @@ def _encoder_pattern(cache: EncoderCache) -> list[bytes]:
 
 
 def _encoder_backward(
-    enc: EncoderParams,
+    p: ModelParams,
     cache: EncoderCache,
     g: np.ndarray,
     grads: dict[str, np.ndarray],
@@ -399,13 +399,13 @@ def _encoder_backward(
     chain stops at the concat layer."""
     grads["w2"] += g.T @ cache.hidden_dropped
     grads["b2"] += g.sum(axis=0)
-    dpre = (g @ enc.w2) * cache.hidden_mask * cache.hidden_active
+    dpre = (g @ p.w2) * cache.hidden_mask * cache.hidden_active
     grads["w1"] += dpre.T @ cache.concat_dropped
     grads["b1"] += dpre.sum(axis=0)
     if cache.cnn is None:
         return
-    d = enc.dim
-    d_pool = ((dpre @ enc.w1) * cache.concat_mask)[:, d:]
+    d = p.dim
+    d_pool = ((dpre @ p.w1) * cache.concat_mask)[:, d:]
     cnn = cache.cnn
     cols = np.arange(d)
     # max-pool routes each (mention, output dim) to its first argmax window;
@@ -414,7 +414,7 @@ def _encoder_backward(
     grads["cnn_b"] += contrib.sum(axis=0)
     g_pre = np.zeros(cnn.active.shape, dtype=np.float64)
     g_pre[cnn.rows, cols] = contrib  # (row, dim) pairs are distinct across the batch
-    grads["cnn_w"] += (cnn.windows.T @ g_pre).reshape(enc.cnn_w.shape)
+    grads["cnn_w"] += (cnn.windows.T @ g_pre).reshape(p.cnn_w.shape)
 
 
 def _structure_masks(
@@ -441,7 +441,7 @@ def _typing_loss(
     typing: Sequence[PreparedMention],
     params: ModelParams,
     config: TrainConfig,
-    masks: Sequence[DropoutMasks] | None,
+    masks: DropoutMasks | None,
     grads: dict[str, np.ndarray] | None,
     parts: list[bytes] | None,
 ) -> float:
@@ -454,14 +454,12 @@ def _typing_loss(
     m_count = len(typing)
     if m_count == 0:
         raise TrainingError("empty typing batch")
-    if masks is not None and len(masks) != m_count:
-        raise TrainingError("need one dropout mask set per mention")
     for pm in typing:
         if not pm.gold:
             raise TrainingError("mention with empty gold set")
         if max(pm.gold) >= n_types or min(pm.gold) < 0:
             raise TrainingError("gold type index out of range")
-    cache = encode_vectors_cached(params.encoder, [pm.word_vectors for pm in typing],
+    cache = encode_vectors_cached(params, [pm.word_vectors for pm in typing],
                                   [pm.span for pm in typing], config.encoder_mode, masks)
     if parts is not None:
         parts.extend(_encoder_pattern(cache))
@@ -481,7 +479,7 @@ def _typing_loss(
         grads["type_emb"] += scale * grid.d_y
         if grid.d_a is not None:
             grads["bilinear"] += scale * grid.d_a
-        _encoder_backward(params.encoder, cache, scale * grid.d_x, grads)
+        _encoder_backward(params, cache, scale * grid.d_x, grads)
     return grid.loss_sum / m_count
 
 
@@ -490,7 +488,7 @@ def loss(
     structure: Sequence[StructurePair] | None,
     params: ModelParams,
     config: TrainConfig,
-    masks: Sequence[DropoutMasks] | None = None,
+    masks: DropoutMasks | None = None,
     *,
     grads: bool = False,
     pattern: bool = False,
@@ -736,7 +734,7 @@ def train(
             prepared = prepare_typing_batch(batch, emb)
             masks = None
             if config.dropout > 0:
-                masks = [sample_dropout_masks(mask_rng, config.dim, config.dropout) for _ in prepared]
+                masks = sample_dropout_masks(mask_rng, len(prepared), config.dim, config.dropout)
             sbatch = None
             if config.structure_weight > 0:
                 sbatch = _sample_structure_batch(pool, config.structure_batch_size, struct_rng)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hiertype import EncoderParams, ModelParams, TrainConfig, loss
+from hiertype import ModelParams, TrainConfig, loss
 
 LINK_KINDS = ("child_of", "fb_fb", "wordnet_hypernym")
 
@@ -58,8 +58,10 @@ def random_entity_table(rng: np.random.Generator, max_entities: int = 30,
     return table
 
 
-def random_encoder(rng: np.random.Generator, d: int, w: int, scale: float = 0.6) -> EncoderParams:
-    return EncoderParams(
+def encoder_tensors(rng: np.random.Generator, d: int, w: int,
+                    scale: float = 0.6) -> dict[str, np.ndarray]:
+    """Random encoder tensors, drawn in table order, as ModelParams keywords."""
+    return dict(
         cnn_w=rng.normal(scale=scale, size=(w, d, d)),
         cnn_b=rng.normal(scale=scale, size=d),
         w1=rng.normal(scale=scale, size=(d, 2 * d)),
@@ -69,11 +71,25 @@ def random_encoder(rng: np.random.Generator, d: int, w: int, scale: float = 0.6)
     )
 
 
+def zero_encoder_tensors(d: int, w: int) -> dict[str, np.ndarray]:
+    return dict(
+        cnn_w=np.zeros((w, d, d)), cnn_b=np.zeros(d),
+        w1=np.zeros((d, 2 * d)), b1=np.zeros(d),
+        w2=np.zeros((d, d)), b2=np.zeros(d),
+    )
+
+
+def random_encoder(rng: np.random.Generator, d: int, w: int, scale: float = 0.6) -> ModelParams:
+    """A model with random encoder tensors and one zero type row, for
+    tests that only encode."""
+    return ModelParams(**encoder_tensors(rng, d, w, scale), type_emb=np.zeros((1, d)))
+
+
 def random_model(rng: np.random.Generator, d: int, w: int, n_types: int, *,
                  with_bilinear: bool = True, with_structure_bilinear: bool = False,
                  scale: float = 0.6) -> ModelParams:
     return ModelParams(
-        encoder=random_encoder(rng, d, w, scale),
+        **encoder_tensors(rng, d, w, scale),
         type_emb=rng.normal(scale=scale, size=(n_types, d)),
         bilinear=rng.normal(scale=scale, size=(d, d)) if with_bilinear else None,
         bilinear_structure=rng.normal(scale=scale, size=(d, d)) if with_structure_bilinear else None,
@@ -94,13 +110,8 @@ def type_rows_model(type_emb, bilinear=None) -> ModelParams:
     bilinear matrix; its encoder is all zeros and never read by the
     structure loss."""
     type_emb = np.asarray(type_emb, dtype=np.float64)
-    d = type_emb.shape[1]
-    enc = EncoderParams(
-        cnn_w=np.zeros((1, d, d)), cnn_b=np.zeros(d),
-        w1=np.zeros((d, 2 * d)), b1=np.zeros(d),
-        w2=np.zeros((d, d)), b2=np.zeros(d),
-    )
-    return ModelParams(encoder=enc, type_emb=type_emb, bilinear=bilinear)
+    return ModelParams(**zero_encoder_tensors(type_emb.shape[1], 1), type_emb=type_emb,
+                       bilinear=bilinear)
 
 
 def structure_only_loss(pairs, type_emb, kind, bilinear=None, margin=1.0) -> float:

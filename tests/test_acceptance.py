@@ -45,8 +45,8 @@ from hiertype.training import AdamState, PreparedMention, adam_step
 
 import oracles
 import synthtask
-from generators import (random_dag_links, random_encoder, random_entity_table, random_model,
-                        structure_only_loss)
+from generators import (encoder_tensors, random_dag_links, random_encoder, random_entity_table,
+                        random_model, structure_only_loss)
 
 
 VERDICTS: list[str] = []
@@ -227,8 +227,8 @@ def test_c2_forward_computations_match_scalar_oracles():
             masks = None
             oracle_masks = None
             if i % 3 == 0:
-                masks = [sample_dropout_masks(rng, d, 0.4) for _ in batch]
-                oracle_masks = [(m.concat, m.hidden) for m in masks]
+                masks = sample_dropout_masks(rng, len(batch), d, 0.4)
+                oracle_masks = list(zip(masks.concat, masks.hidden))
             cfg = TrainConfig(dim=d, filter_width=w, encoder_mode=mode,
                               mention_score_kind=kind, margin=margin,
                               structure_weight=0.0, dropout=0.0)
@@ -236,9 +236,9 @@ def test_c2_forward_computations_match_scalar_oracles():
             want = oracles.typing_objective(
                 [(pm.word_vectors, pm.span, set(pm.gold)) for pm in batch],
                 params.type_emb, kind.value, bilinear=params.bilinear, margin=margin,
-                cnn_w=params.encoder.cnn_w, cnn_b=params.encoder.cnn_b,
-                w1=params.encoder.w1, b1=params.encoder.b1,
-                w2=params.encoder.w2, b2=params.encoder.b2,
+                cnn_w=params.cnn_w, cnn_b=params.cnn_b,
+                w1=params.w1, b1=params.b1,
+                w2=params.w2, b2=params.b2,
                 use_cnn=mode is EncoderMode.CNN_PLUS_MENTION, masks=oracle_masks)
             assert within(got, want), f"typing instance {i}: {got} vs {want}"
             checked += 1
@@ -420,7 +420,7 @@ def test_c7_order_embedding_geometry():
 
     rng = np.random.default_rng(7)
     params = ModelParams(
-        encoder=random_encoder(rng, 8, 1, scale=0.1),
+        **encoder_tensors(rng, 8, 1, scale=0.1),
         type_emb=rng.normal(scale=0.3, size=(n, 8)),
         bilinear=None, bilinear_structure=None,
     )

@@ -135,6 +135,17 @@ def test_build_hierarchy_rejects_cycles(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
+def test_build_hierarchy_rejects_links_outside_declared_types(tmp_path, capsys):
+    serialized = tmp_path / "h.json"
+    serialized.write_text(json.dumps({
+        "format": "hiertype-hierarchy", "version": 1, "types": ["a", "b"],
+        "links": [["a", "zzz", "child_of"]]}), encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["build-hierarchy", "--links", str(serialized), "--out", str(out)]) == 2
+    assert "link names a type outside the declared order" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_derive_links_fixture(tmp_path):
     entities = tmp_path / "entities.tsv"
     entities.write_text("e1\tA,B\ne2\tA,B\ne3\tA\n", encoding="utf-8")
@@ -320,6 +331,11 @@ def _add_junk_tensor(header, blob):
     return blob + np.zeros(2, dtype="<f8").tobytes()
 
 
+def _drop_first_tensor(header, blob):
+    _, shape = header["tensors"].pop(0)
+    return blob[8 * int(np.prod(shape)):]
+
+
 def _poison(index, value):
     def edit(header, blob):
         arr = np.frombuffer(blob, dtype="<f8").copy()
@@ -334,9 +350,11 @@ def _poison(index, value):
     (_set_header("n_types", 7), "tensor 'type_emb' has shape [4, 4]"),
     (_set_header("dim", True), "'dim', 'filter_width' and 'n_types' must be positive integers"),
     (_add_junk_tensor, "unknown tensor 'junk'"),
+    (_drop_first_tensor, "header 'tensors' lacks required tensor 'cnn_w'"),
     (_poison(0, np.nan), "tensor 'cnn_w' holds non-finite values"),
     (_poison(-1, -np.inf), "tensor 'word_emb' holds non-finite values"),
-], ids=["dim", "filter_width", "n_types", "bool_dim", "unknown_tensor", "nan", "inf"])
+], ids=["dim", "filter_width", "n_types", "bool_dim", "unknown_tensor", "missing_cnn_w",
+        "nan", "inf"])
 def test_eval_rejects_inconsistent_checkpoint(task, capsys, edit, message):
     model = run_train(task)
     _rewrite_checkpoint(model, edit)
@@ -495,6 +513,20 @@ def test_train_rejects_bad_numeric_settings(task, tmp_path, capsys, setting, key
                  "--out", str(tmp_path / "x.ckpt"), "--set", setting]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_train_rejects_negative_seed(task, tmp_path, capsys):
+    negative_config = tmp_path / "negative.cfg"
+    negative_config.write_text(open(task["config"], encoding="utf-8").read() + "seed=-1\n",
+                               encoding="utf-8")
+    for config, extra in ((task["config"], ["--seed", "-1"]),
+                          (task["config"], ["--set", "seed=-3"]),
+                          (str(negative_config), [])):
+        assert main(["train", "--config", config, "--hierarchy", task["links"],
+                     "--train", task["train"], "--dev", task["dev"],
+                     "--out", str(tmp_path / "x.ckpt"), *extra]) == 2, extra
+        assert "seed must be a non-negative integer" in capsys.readouterr().err, extra
+        assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_label_locates_bytes_that_are_not_utf8(task, tmp_path, capsys):

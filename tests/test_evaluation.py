@@ -4,7 +4,6 @@ import pytest
 from hiertype import (
     EmbeddingTable,
     EncoderMode,
-    EncoderParams,
     EvalError,
     LabeledExample,
     Mention,
@@ -103,12 +102,11 @@ def test_evaluate_model_on_identity_encoder():
     hier = TypeHierarchy.from_links([], types=[f"t{i}" for i in range(d)])
     vocab = [f"tok{i}" for i in range(d)]
     emb = EmbeddingTable(vocab, np.eye(d))
-    enc = EncoderParams(
+    params = ModelParams(
         cnn_w=np.zeros((3, d, d)), cnn_b=np.zeros(d),
         w1=np.hstack([np.eye(d), np.zeros((d, d))]), b1=np.zeros(d),
-        w2=np.eye(d), b2=np.zeros(d),
+        w2=np.eye(d), b2=np.zeros(d), type_emb=np.eye(d),
     )
-    params = ModelParams(encoder=enc, type_emb=np.eye(d))
     examples = [
         LabeledExample(
             mention=Mention(tokens=(f"tok{i}",), span=(0, 0), entity_id=f"e{i}"),
@@ -126,12 +124,11 @@ def test_evaluate_model_tie_breaking_prefers_low_index():
     d = 3
     hier = TypeHierarchy.from_links([], types=["t0", "t1", "t2"])
     emb = EmbeddingTable(["x"], np.zeros((1, d)))
-    enc = EncoderParams(
+    params = ModelParams(
         cnn_w=np.zeros((3, d, d)), cnn_b=np.zeros(d),
         w1=np.zeros((d, 2 * d)), b1=np.zeros(d),
-        w2=np.zeros((d, d)), b2=np.zeros(d),
+        w2=np.zeros((d, d)), b2=np.zeros(d), type_emb=np.ones((d, d)),
     )
-    params = ModelParams(encoder=enc, type_emb=np.ones((d, d)))
     ex_first = LabeledExample(
         mention=Mention(tokens=("x",), span=(0, 0)), gold_types=hier.closure(["t0"]))
     ex_last = LabeledExample(
@@ -142,10 +139,8 @@ def test_evaluate_model_tie_breaking_prefers_low_index():
 
 
 def test_evaluate_model_rejects_empty():
-    params = ModelParams(
-        encoder=EncoderParams(np.zeros((3, 2, 2)), np.zeros(2), np.zeros((2, 4)),
-                              np.zeros(2), np.zeros((2, 2)), np.zeros(2)),
-        type_emb=np.zeros((2, 2)))
+    params = ModelParams(np.zeros((3, 2, 2)), np.zeros(2), np.zeros((2, 4)),
+                         np.zeros(2), np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)))
     emb = EmbeddingTable(["x"], np.zeros((1, 2)))
     with pytest.raises(EvalError):
         evaluate_model([], params, emb, EncoderMode.MENTION_ONLY, ScoreKind.DOT)

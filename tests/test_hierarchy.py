@@ -265,6 +265,13 @@ def test_tampered_ancestors_rejected(tmp_path):
         TypeHierarchy.from_dict(data)
 
 
+def test_link_outside_declared_types_rejected():
+    data = {"format": "hiertype-hierarchy", "version": 1, "types": ["a", "b"],
+            "links": [["a", "zzz", "child_of"]]}
+    with pytest.raises(HierarchyError, match="^h.json: link names a type outside the declared order"):
+        TypeHierarchy.from_dict(data, source="h.json")
+
+
 def test_bad_payloads_rejected():
     with pytest.raises(HierarchyError):
         TypeHierarchy.from_dict({"format": "something-else"})

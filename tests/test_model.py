@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hiertype import (
     CheckpointError,
     EmbeddingTable,
     EncoderMode,
-    EncoderParams,
     Mention,
     ModelError,
     ModelParams,
@@ -25,18 +25,15 @@ from hiertype import (
     sigmoid,
     surface_average,
 )
-from hiertype.model import cnn_forward_cached, encode_vectors_cached
+from hiertype.model import _tensor_shapes, cnn_forward_cached, encode_vectors_cached
 
 import oracles
-from generators import random_encoder, random_model, random_sentence, structure_only_loss
+from generators import (encoder_tensors, random_encoder, random_model, random_sentence,
+                        structure_only_loss, zero_encoder_tensors)
 
 
 def zero_encoder(d=3, w=3):
-    return EncoderParams(
-        cnn_w=np.zeros((w, d, d)), cnn_b=np.zeros(d),
-        w1=np.zeros((d, 2 * d)), b1=np.zeros(d),
-        w2=np.zeros((d, d)), b2=np.zeros(d),
-    )
+    return ModelParams(**zero_encoder_tensors(d, w), type_emb=np.zeros((1, d)))
 
 
 # ----------------------------------------------------------------------
@@ -74,26 +71,34 @@ def test_log_sigmoid_at_zero():
 
 def test_encoder_param_validation():
     d = 3
-    with pytest.raises(ModelError):  # even filter width
-        EncoderParams(np.zeros((2, d, d)), np.zeros(d), np.zeros((d, 2 * d)),
-                      np.zeros(d), np.zeros((d, d)), np.zeros(d))
-    with pytest.raises(ModelError):  # filter must map d -> d
-        EncoderParams(np.zeros((3, d, d + 1)), np.zeros(d), np.zeros((d, 2 * d)),
-                      np.zeros(d), np.zeros((d, d)), np.zeros(d))
-    with pytest.raises(ModelError):  # w1 must read the 2d concat
-        EncoderParams(np.zeros((3, d, d)), np.zeros(d), np.zeros((d, d)),
-                      np.zeros(d), np.zeros((d, d)), np.zeros(d))
+    enc = zero_encoder_tensors(d, 3)
+    for bad, message in [
+        ({"cnn_w": np.zeros((2, d, d))}, "filter width must be odd and positive"),
+        ({"cnn_w": np.zeros((3, d, d + 1))}, "cnn filter must map d -> d"),
+        ({"w1": np.zeros((d, d))}, r"w1 must have shape \(3, 6\)"),  # w1 reads the 2d concat
+    ]:
+        with pytest.raises(ModelError, match=message):
+            ModelParams(**{**enc, "type_emb": np.zeros((4, 3)), **bad})
 
 
 def test_model_param_validation():
-    enc = zero_encoder(d=3)
-    with pytest.raises(ModelError):
-        ModelParams(encoder=enc, type_emb=np.zeros((4, 2)))
-    with pytest.raises(ModelError):
-        ModelParams(encoder=enc, type_emb=np.zeros((4, 3)), bilinear=np.zeros((2, 3)))
-    p = ModelParams(encoder=enc, type_emb=np.zeros((4, 3)))
-    assert p.n_types == 4
+    d = 3
+    enc = zero_encoder_tensors(d, 3)
+    for bad, message in [
+        ({"type_emb": np.zeros(4)}, "type embeddings must be"),
+        ({"type_emb": np.zeros((4, 2))}, r"type_emb must have shape \(4, 3\)"),
+        ({"bilinear": np.zeros((2, 3))}, r"bilinear must have shape \(3, 3\)"),
+    ]:
+        with pytest.raises(ModelError, match=message):
+            ModelParams(**{**enc, "type_emb": np.zeros((4, 3)), **bad})
+    p = ModelParams(**enc, type_emb=np.zeros((4, 3)))
+    assert p.n_types == 4 and p.dim == 3 and p.filter_width == 3
     assert list(p.tensors()) == ["cnn_w", "cnn_b", "w1", "b1", "w2", "b2", "type_emb"]
+
+
+def test_model_fields_are_the_tensor_table_in_order():
+    names = [f.name for f in fields(ModelParams) if f.name != "flat"]
+    assert names == list(_tensor_shapes(3, 3, 4))
 
 
 def test_width_one_cnn_is_per_token_affine():
@@ -259,13 +264,13 @@ def test_batched_encoder_rows_match_per_mention_oracle():
     d = 4
     p = random_encoder(rng, d, w=5)
     sentences, spans = ragged_batch(rng, d)
-    masks = [sample_dropout_masks(rng, d, 0.3) for _ in sentences]
+    masks = sample_dropout_masks(rng, len(sentences), d, 0.3)
     for mode in (EncoderMode.CNN_PLUS_MENTION, EncoderMode.MENTION_ONLY):
         for mk in (None, masks):
             got = encode_vectors_cached(p, sentences, spans, mode, mk).out
             assert got.shape == (len(sentences), d)
             for b, (wv, span) in enumerate(zip(sentences, spans)):
-                cm, hm = (None, None) if mk is None else (mk[b].concat, mk[b].hidden)
+                cm, hm = (None, None) if mk is None else (mk.concat[b], mk.hidden[b])
                 want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2, wv, span,
                                       use_cnn=mode is EncoderMode.CNN_PLUS_MENTION,
                                       concat_mask=cm, hidden_mask=hm)
@@ -315,7 +320,7 @@ def test_batch_length_mismatches_rejected():
         encode_vectors_cached(p, sentences, spans[:1], EncoderMode.CNN_PLUS_MENTION)
     with pytest.raises(ModelError):
         encode_vectors_cached(p, sentences, spans, EncoderMode.CNN_PLUS_MENTION,
-                              [sample_dropout_masks(rng, d, 0.5)])
+                              sample_dropout_masks(rng, 1, d, 0.5))
     with pytest.raises(ModelError):
         encode_vectors_cached(p, [], [], EncoderMode.CNN_PLUS_MENTION)
     with pytest.raises(ModelError):
@@ -328,22 +333,22 @@ def test_batch_length_mismatches_rejected():
 
 def test_dropout_zero_probability_is_identity():
     rng = np.random.default_rng(9)
-    masks = sample_dropout_masks(rng, dim=5, p=0.0)
-    assert np.array_equal(masks.concat, np.ones(10))
-    assert np.array_equal(masks.hidden, np.ones(5))
+    masks = sample_dropout_masks(rng, 1, dim=5, p=0.0)
+    assert np.array_equal(masks.concat, np.ones((1, 10)))
+    assert np.array_equal(masks.hidden, np.ones((1, 5)))
     d = 3
     p = random_encoder(rng, d, w=3)
     wv, span = random_sentence(rng, d)
-    m0 = sample_dropout_masks(rng, dim=d, p=0.0)
+    m0 = sample_dropout_masks(rng, 1, dim=d, p=0.0)
     assert np.array_equal(
-        encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, [m0]).out[0],
+        encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, m0).out[0],
         encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, None).out[0],
     )
 
 
 def test_dropout_half_scales_survivors_by_two():
     rng = np.random.default_rng(10)
-    masks = sample_dropout_masks(rng, dim=200, p=0.5)
+    masks = sample_dropout_masks(rng, 1, dim=200, p=0.5)
     assert set(np.unique(masks.concat)) <= {0.0, 2.0}
     assert set(np.unique(masks.hidden)) <= {0.0, 2.0}
     assert 0.0 in masks.concat and 2.0 in masks.concat
@@ -353,7 +358,20 @@ def test_dropout_probability_validation():
     rng = np.random.default_rng(11)
     for bad in (1.0, -0.1, 1.5):
         with pytest.raises(ModelError):
-            sample_dropout_masks(rng, dim=3, p=bad)
+            sample_dropout_masks(rng, 1, dim=3, p=bad)
+
+
+def test_batch_dropout_draw_equals_per_mention_draws():
+    d, p, keep = 5, 0.4, 0.6
+    batched, sequential = np.random.default_rng(13), np.random.default_rng(13)
+    masks = sample_dropout_masks(batched, 7, d, p)
+    assert masks.concat.shape == (7, 2 * d) and masks.hidden.shape == (7, d)
+    for b in range(7):
+        concat = (sequential.random(2 * d) < keep).astype(np.float64) / keep
+        hidden = (sequential.random(d) < keep).astype(np.float64) / keep
+        assert masks.concat[b].tobytes() == concat.tobytes(), b
+        assert masks.hidden[b].tobytes() == hidden.tobytes(), b
+    assert batched.random() == sequential.random()
 
 
 def test_dropout_masks_match_oracle_encode():
@@ -361,10 +379,10 @@ def test_dropout_masks_match_oracle_encode():
     d = 4
     p = random_encoder(rng, d, w=3)
     wv, span = random_sentence(rng, d)
-    masks = sample_dropout_masks(rng, dim=d, p=0.5)
-    got = encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, [masks]).out[0]
+    masks = sample_dropout_masks(rng, 1, dim=d, p=0.5)
+    got = encode_vectors_cached(p, [wv], [span], EncoderMode.CNN_PLUS_MENTION, masks).out[0]
     want = oracles.encode(p.cnn_w, p.cnn_b, p.w1, p.b1, p.w2, p.b2, wv, span,
-                          use_cnn=True, concat_mask=masks.concat, hidden_mask=masks.hidden)
+                          use_cnn=True, concat_mask=masks.concat[0], hidden_mask=masks.hidden[0])
     assert np.allclose(got, want, atol=1e-13)
 
 
@@ -642,16 +660,14 @@ def _memory_owner(a):
 def test_model_tensors_tile_flat_in_table_order():
     rng = np.random.default_rng(23)
     w1 = rng.normal(size=(3, 6))
-    enc = random_encoder(rng, 3, 3)
-    enc.w1 = w1
-    p = ModelParams(encoder=enc, type_emb=rng.normal(size=(4, 3)),
+    p = ModelParams(**{**encoder_tensors(rng, 3, 3), "w1": w1}, type_emb=rng.normal(size=(4, 3)),
                     bilinear_structure=rng.normal(size=(3, 3)))
     assert list(p.tensors()) == ["cnn_w", "cnn_b", "w1", "b1", "w2", "b2", "type_emb",
                                  "bilinear_structure"]
     assert p.flat.shape == (sum(t.size for t in p.tensors().values()),)
-    assert np.array_equal(p.encoder.w1, w1)
+    assert np.array_equal(p.w1, w1)
     w1[0, 0] += 1.0  # the constructor copied its inputs into the arena
-    assert not np.array_equal(p.encoder.w1, w1)
+    assert not np.array_equal(p.w1, w1)
     p.flat[:] = np.arange(p.flat.size)
     tiled = np.concatenate([t.ravel() for t in p.tensors().values()])
     assert np.array_equal(tiled, np.arange(p.flat.size))

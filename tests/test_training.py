@@ -8,10 +8,10 @@ from hiertype import (
     ConfigError,
     EmbeddingTable,
     EncoderMode,
-    EncoderParams,
     GradientError,
     LabeledExample,
     Mention,
+    ModelError,
     ModelParams,
     ScoreKind,
     TrainConfig,
@@ -36,7 +36,7 @@ from hiertype.training import (EpochMetrics, PreparedMention, _membership_grid,
                                _sample_structure_batch)
 
 import oracles
-from generators import random_model, random_sentence, structure_only_loss
+from generators import random_model, random_sentence, structure_only_loss, zero_encoder_tensors
 
 
 def small_config(**kw):
@@ -47,12 +47,7 @@ def small_config(**kw):
 
 
 def zero_params(d=3, n_types=4, kind=ScoreKind.DOT):
-    enc = EncoderParams(
-        cnn_w=np.zeros((3, d, d)), cnn_b=np.zeros(d),
-        w1=np.zeros((d, 2 * d)), b1=np.zeros(d),
-        w2=np.zeros((d, d)), b2=np.zeros(d),
-    )
-    return ModelParams(encoder=enc, type_emb=np.zeros((n_types, d)),
+    return ModelParams(**zero_encoder_tensors(d, 3), type_emb=np.zeros((n_types, d)),
                        bilinear=np.eye(d) if kind is ScoreKind.BILINEAR else None)
 
 
@@ -248,8 +243,8 @@ def test_init_model_deterministic_and_prefix_stable():
     pc = init_model(5, small_config(mention_score_kind=ScoreKind.DOT))
     for name in ("cnn_w", "w1", "w2", "type_emb"):
         assert np.array_equal(pc.tensors()[name], pa.tensors()[name]), name
-    assert np.array_equal(pa.encoder.cnn_b, np.zeros(cfg_a.dim))
-    assert np.array_equal(pa.encoder.b1, np.zeros(cfg_a.dim))
+    assert np.array_equal(pa.cnn_b, np.zeros(cfg_a.dim))
+    assert np.array_equal(pa.b1, np.zeros(cfg_a.dim))
 
 
 def test_init_model_rejects_zero_types():
@@ -299,9 +294,9 @@ def test_typing_loss_matches_oracle():
                 params.type_emb, kind.value,
                 bilinear=params.bilinear if kind is ScoreKind.BILINEAR else None,
                 margin=1.25,
-                cnn_w=params.encoder.cnn_w, cnn_b=params.encoder.cnn_b,
-                w1=params.encoder.w1, b1=params.encoder.b1,
-                w2=params.encoder.w2, b2=params.encoder.b2,
+                cnn_w=params.cnn_w, cnn_b=params.cnn_b,
+                w1=params.w1, b1=params.b1,
+                w2=params.w2, b2=params.b2,
                 use_cnn=(mode is EncoderMode.CNN_PLUS_MENTION),
             )
             assert got == pytest.approx(want, abs=1e-11 * max(1.0, abs(want)))
@@ -314,18 +309,18 @@ def test_typing_loss_with_dropout_matches_oracle():
     emb = EmbeddingTable(["a", "b"], rng.normal(size=(2, d)))
     hier = TypeHierarchy.from_links([], types=["t0", "t1", "t2", "t3"])
     batch = toy_examples(hier, [["t0"], ["t3"]], n_tokens=2)
-    masks = [sample_dropout_masks(rng, d, 0.5) for _ in batch]
+    masks = sample_dropout_masks(rng, len(batch), d, 0.5)
     got = typing_only_loss(batch, params, emb, kind=ScoreKind.DOT,
                            mode=EncoderMode.CNN_PLUS_MENTION, masks=masks)
     want = oracles.typing_objective(
         [(emb.vectors(ex.mention.tokens), ex.mention.span,
           {t.index for t in ex.gold_types}) for ex in batch],
         params.type_emb, "dot",
-        cnn_w=params.encoder.cnn_w, cnn_b=params.encoder.cnn_b,
-        w1=params.encoder.w1, b1=params.encoder.b1,
-        w2=params.encoder.w2, b2=params.encoder.b2,
+        cnn_w=params.cnn_w, cnn_b=params.cnn_b,
+        w1=params.w1, b1=params.b1,
+        w2=params.w2, b2=params.b2,
         use_cnn=True,
-        masks=[(m.concat, m.hidden) for m in masks],
+        masks=list(zip(masks.concat, masks.hidden)),
     )
     assert got == pytest.approx(want, abs=1e-11 * max(1.0, abs(want)))
 
@@ -418,7 +413,7 @@ def test_backward_closed_form_for_degenerate_encoder():
     rng = np.random.default_rng(7)
     d, n_types = 3, 5
     params = zero_params(d=d, n_types=n_types)
-    params.encoder.b2 = rng.normal(size=d)
+    params.b2 = rng.normal(size=d)
     params.type_emb = rng.normal(size=(n_types, d))
     golds = [(0, 2), (1,), (3, 4)]
     prepared = [
@@ -428,7 +423,7 @@ def test_backward_closed_form_for_degenerate_encoder():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT)
     value, grads, _ = loss(prepared, None, params, cfg, grads=True)
 
-    b2 = params.encoder.b2
+    b2 = params.b2
     u = params.type_emb @ b2
     s = 1.0 / (1.0 + np.exp(-u))
     G = np.zeros((len(golds), n_types))
@@ -463,7 +458,7 @@ def test_backward_mention_only_means_zero_cnn_grads():
     rng = np.random.default_rng(9)
     d = 3
     params = random_model(rng, d, 3, 4, with_bilinear=False)
-    params.encoder.b1 = np.full(d, 3.0)  # keep the hidden layer off the ReLU floor
+    params.b1 = np.full(d, 3.0)  # keep the hidden layer off the ReLU floor
     wv, span = random_sentence(rng, d)
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(2,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT,
@@ -527,8 +522,9 @@ def test_backward_rejects_bad_batches():
     with pytest.raises(TrainingError):
         loss(oob, None, params, cfg, grads=True)
     good = [PreparedMention(word_vectors=np.zeros((2, 3)), span=(0, 0), gold=(0,))]
-    with pytest.raises(TrainingError):
-        loss(good, None, params, cfg, masks=[], grads=True)  # mask count mismatch
+    masks = sample_dropout_masks(np.random.default_rng(0), 2, 3, 0.5)
+    with pytest.raises(ModelError, match="dropout masks must be"):
+        loss(good, None, params, cfg, masks=masks, grads=True)  # mask count mismatch
 
 
 def test_prepare_typing_batch():
@@ -622,8 +618,8 @@ def test_fd_check_ragged_batch_with_dropout():
         t1 = int(rng.integers(n))
         prepared.append(PreparedMention(word_vectors=rng.normal(scale=0.8, size=(n, d)),
                                         span=(t1, int(rng.integers(t1, n))), gold=(i % n_types,)))
-    masks = [sample_dropout_masks(rng, d, 0.3) for _ in prepared]
-    assert any(0.0 in m.concat or 0.0 in m.hidden for m in masks)
+    masks = sample_dropout_masks(rng, len(prepared), d, 0.3)
+    assert 0.0 in masks.concat or 0.0 in masks.hidden
     for kind in (ScoreKind.ORDER, ScoreKind.BILINEAR, ScoreKind.DOT):
         params = random_model(rng, d, w, n_types, with_bilinear=kind is ScoreKind.BILINEAR)
         cfg = small_config(dim=d, filter_width=w, mention_score_kind=kind)
@@ -909,6 +905,6 @@ def test_mention_only_encoder_trains_without_cnn_updates():
     from hiertype.training import _rng_streams
     init_rng, _, _ = _rng_streams(cfg.seed)
     fresh = init_model(len(hier), cfg, rng=init_rng)
-    assert np.array_equal(result.params.encoder.cnn_w, fresh.encoder.cnn_w)
-    assert np.array_equal(result.params.encoder.cnn_b, fresh.encoder.cnn_b)
+    assert np.array_equal(result.params.cnn_w, fresh.cnn_w)
+    assert np.array_equal(result.params.cnn_b, fresh.cnn_b)
     assert not np.array_equal(result.params.type_emb, fresh.type_emb)
