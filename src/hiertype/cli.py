@@ -35,8 +35,8 @@ from .model import encode_mention, load_checkpoint, rank_types, save_checkpoint
 from .training import (
     ConfigError,
     TrainingError,
-    config_from_strings,
     load_train_config,
+    located_config,
     make_checkpoint,
     train,
     write_history,
@@ -205,13 +205,13 @@ def _cmd_label(args) -> int:
 def _cmd_train(args) -> int:
     cfg = load_train_config(args.config)
     if args.overrides:
-        pairs = {}
+        located = {}
         for item in args.overrides:
             key, sep, value = item.partition("=")
             if not sep or not key.strip():
                 raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-            pairs[key.strip()] = value.strip()
-        cfg = config_from_strings(pairs, base=cfg)
+            located[key.strip()] = (f"--set {item!r}", value.strip())
+        cfg = located_config(located, base=cfg)
     if args.embeddings:
         cfg.embeddings = args.embeddings
     if args.seed is not None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -92,15 +92,20 @@ class Link(NamedTuple):
 RawLink = tuple[str, str, LinkKind]
 
 
-def _normalize_raw(child: str, parent: str, kind: object) -> RawLink:
-    if isinstance(kind, LinkKind):
-        return (child, parent, kind)
-    token = str(kind)
+def _resolve_link(child: str, parent: str, kind: object) -> RawLink:
+    """The one check of a link: both names non-empty, the kind a LinkKind or
+    a file token (``parent_of`` reversed), and no self link other than an
+    equivalence.  Callers prefix the fault with its location."""
+    if not child or not parent:
+        raise HierarchyError("empty type name")
+    token = kind.value if isinstance(kind, LinkKind) else str(kind)
     if token not in _KIND_TOKENS:
         raise HierarchyError(f"unknown link kind: {token!r}")
     resolved, reverse = _KIND_TOKENS[token]
     if reverse:
         child, parent = parent, child
+    if child == parent and resolved is not LinkKind.EQUIVALENCE:
+        raise HierarchyError(f"self link on {child!r} ({resolved.value})")
     return (child, parent, resolved)
 
 
@@ -135,11 +140,14 @@ class HierarchyStats:
 
 
 class TypeHierarchy:
-    """Validated, immutable type DAG with a precomputed ancestor closure."""
+    """Validated, immutable type DAG with a precomputed ancestor closure.
+
+    Each link is a ``(child, parent, kind)`` triple whose kind is a
+    ``LinkKind`` or a file token; a faulty link is named by its index."""
 
     def __init__(
         self,
-        raw_links: Sequence[RawLink],
+        links: Iterable[tuple[str, str, object]],
         extra_types: Sequence[str] = (),
         source: str = "<memory>",
         name_order: Sequence[str] | None = None,
@@ -166,12 +174,14 @@ class TypeHierarchy:
         deduped: list[RawLink] = []
         seen: set[tuple] = set()
         duplicates = 0
-        for child, parent, kind in raw_links:
+        for i, (child, parent, kind) in enumerate(links):
+            try:
+                child, parent, kind = _resolve_link(child, parent, kind)
+            except HierarchyError as exc:
+                raise HierarchyError(f"{source}: link {i}: {exc}") from exc
             if name_order is not None and (child not in index or parent not in index):
                 raise HierarchyError(f"{source}: link names a type outside the declared order")
             ci, pi = intern(child), intern(parent)
-            if ci == pi and kind is not LinkKind.EQUIVALENCE:
-                raise HierarchyError(f"{source}: self link on {child!r} ({kind.value})")
             if kind is LinkKind.EQUIVALENCE:
                 key = (kind, min(ci, pi), max(ci, pi))
             else:
@@ -193,12 +203,12 @@ class TypeHierarchy:
         self.links: tuple[Link, ...] = tuple(
             Link(self._ids[index[c]], self._ids[index[p]], k) for c, p, k in deduped
         )
-        self._build_closure(source)
+        self._build_closure()
 
     # ------------------------------------------------------------------
     # construction internals
 
-    def _build_closure(self, source: str) -> None:
+    def _build_closure(self) -> None:
         n = len(self._names)
 
         # Union-find over equivalence links; collapse before reachability.
@@ -210,26 +220,19 @@ class TypeHierarchy:
                 i = uf[i]
             return i
 
-        self_equiv: set[int] = set()
-        for link in self.links:
-            if link.kind is LinkKind.EQUIVALENCE:
-                a, b = find(link.child.index), find(link.parent.index)
-                if a == b:
-                    self_equiv.add(a)
-                elif a < b:
-                    uf[b] = a
-                else:
-                    uf[a] = b
+        equivalences = [l for l in self.links if l.kind is LinkKind.EQUIVALENCE]
+        for link in equivalences:
+            a, b = find(link.child.index), find(link.parent.index)
+            uf[max(a, b)] = min(a, b)  # the class rep is its smallest index
 
         rep_of = [find(i) for i in range(n)]
         members: dict[int, list[int]] = {}
         for i, r in enumerate(rep_of):
             members.setdefault(r, []).append(i)
-        cyclic_classes = {r for r, ms in members.items() if len(ms) > 1}
-        cyclic_classes.update(find(r) for r in self_equiv)
+        # a class holding an equivalence link, even a self one, is its own ancestor
+        cyclic_classes = {rep_of[link.child.index] for link in equivalences}
 
         parents: dict[int, set[int]] = {r: set() for r in members}
-        children: dict[int, set[int]] = {r: set() for r in members}
         for link in self.links:
             if link.kind is LinkKind.EQUIVALENCE:
                 continue
@@ -238,48 +241,36 @@ class TypeHierarchy:
                 # child-of edge inside one equivalence class: collapsed self loop
                 raise CycleError([link.child.name, link.parent.name])
             parents[c].add(p)
-            children[p].add(c)
 
-        # Parents-first topological sweep; leftover nodes witness a cycle.
-        pending = {r: len(parents[r]) for r in members}
-        queue = deque(sorted(r for r, k in pending.items() if k == 0))
-        anc: dict[int, frozenset[int]] = {}
+        # Depth-first over class parents in sorted order; each class gets its
+        # ancestor types and depth in post-order.  ``walk`` maps the classes
+        # on the current path, root first, to their unvisited parents; a
+        # parent met on the path closes a cycle.
+        anc: dict[int, set[int]] = {}
         depth: dict[int, int] = {}
-        done = 0
-        while queue:
-            k = queue.popleft()
-            done += 1
-            acc: set[int] = set()
-            dmax = 0
-            for p in parents[k]:
-                acc.add(p)
-                acc |= anc[p]
-                if depth[p] > dmax:
-                    dmax = depth[p]
-            anc[k] = frozenset(acc)
-            depth[k] = dmax + 1
-            for c in sorted(children[k]):
-                pending[c] -= 1
-                if pending[c] == 0:
-                    queue.append(c)
-        if done < len(members):
-            leftover = {r for r, k in pending.items() if k > 0}
-            cycle = _find_cycle(leftover, parents)
-            raise CycleError([self._names[members[r][0]] for r in cycle])
+        for root in sorted(members):
+            walk = {} if root in anc else {root: iter(sorted(parents[root]))}
+            while walk:
+                k = next(reversed(walk))
+                for p in walk[k]:
+                    if p in walk:
+                        path = list(walk)
+                        raise CycleError([self._names[r] for r in path[path.index(p):]])
+                    if p not in anc:
+                        walk[p] = iter(sorted(parents[p]))
+                        break
+                else:
+                    del walk[k]
+                    acc = set(members[k]) if k in cyclic_classes else set()
+                    for p in parents[k]:
+                        acc.update(members[p])
+                        acc |= anc[p]
+                    anc[k] = acc
+                    depth[k] = 1 + max((depth[p] for p in parents[k]), default=0)
 
-        anc_types: list[tuple[int, ...]] = []
-        depths: list[int] = []
-        for i in range(n):
-            r = rep_of[i]
-            acc = set()
-            for p in anc[r]:
-                acc.update(members[p])
-            if r in cyclic_classes:
-                acc.update(members[r])
-            anc_types.append(tuple(sorted(acc)))
-            depths.append(depth[r])
-        self._ancestors = tuple(anc_types)
-        self._depths = tuple(depths)
+        ordered = {r: tuple(sorted(acc)) for r, acc in anc.items()}
+        self._ancestors = tuple(ordered[r] for r in rep_of)
+        self._depths = tuple(depth[r] for r in rep_of)
 
     # ------------------------------------------------------------------
     # queries
@@ -372,13 +363,13 @@ class TypeHierarchy:
             raise HierarchyError(f"{source}: unsupported version {data.get('version')!r}")
         try:
             types = [str(t) for t in data["types"]]
-            raw = [_normalize_raw(str(c), str(p), str(k)) for c, p, k in data["links"]]
+            links = [(str(c), str(p), str(k)) for c, p, k in data["links"]]
             stored = data.get("ancestors")
             if stored is not None:
                 stored = [list(map(int, a)) for a in stored]
         except (KeyError, TypeError, ValueError) as exc:
             raise HierarchyError(f"{source}: malformed hierarchy payload: {exc}") from exc
-        h = cls(raw, source=source, name_order=types)
+        h = cls(links, source=source, name_order=types)
         if stored is not None:
             recomputed = [list(a) for a in h._ancestors]
             if stored != recomputed:
@@ -397,8 +388,7 @@ class TypeHierarchy:
         types: Sequence[str] = (),
         source: str = "<memory>",
     ) -> "TypeHierarchy":
-        raw = [_normalize_raw(c, p, k) for c, p, k in links]
-        return cls(raw, extra_types=types, source=source)
+        return cls(links, extra_types=types, source=source)
 
     @classmethod
     def load(cls, path: str) -> "TypeHierarchy":
@@ -415,18 +405,6 @@ class TypeHierarchy:
         return cls(raw, extra_types=isolated, source=path)
 
 
-def _find_cycle(leftover: set[int], parents: Mapping[int, set[int]]) -> list[int]:
-    """One cycle's class reps among the classes a topological sweep leaves
-    over.  Each of them still waits on a left-over parent, so the walk from
-    the smallest one along smallest left-over parents must repeat a class."""
-    path: dict[int, int] = {}  # class rep -> position on the walk
-    node = min(leftover)
-    while node not in path:
-        path[node] = len(path)
-        node = min(p for p in parents[node] if p in leftover)
-    return list(path)[path[node]:]
-
-
 def _parse_links_text(text: str, source: str) -> tuple[list[RawLink], list[str]]:
     raw: list[RawLink] = []
     isolated: list[str] = []
@@ -440,17 +418,10 @@ def _parse_links_text(text: str, source: str) -> tuple[list[RawLink], list[str]]
             continue
         if len(fields) != 3:
             raise HierarchyParseError(source, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        child, parent, token = (f.strip() for f in fields)
-        if not child or not parent:
-            raise HierarchyParseError(source, line_no, "empty type name")
-        if token not in _KIND_TOKENS:
-            raise HierarchyParseError(source, line_no, f"unknown link kind: {token!r}")
-        kind, reverse = _KIND_TOKENS[token]
-        if reverse:
-            child, parent = parent, child
-        if child == parent and kind is not LinkKind.EQUIVALENCE:
-            raise HierarchyParseError(source, line_no, f"self link on {child!r}")
-        raw.append((child, parent, kind))
+        try:
+            raw.append(_resolve_link(*(f.strip() for f in fields)))
+        except HierarchyError as exc:
+            raise HierarchyParseError(source, line_no, str(exc)) from exc
     return raw, isolated
 
 

@@ -533,7 +533,14 @@ def _checked_header(path: str, line: bytes) -> tuple[dict, list]:
             raise CheckpointError(
                 f"{path}: tensor {name!r} has shape {shape}, but the header's dim, "
                 f"filter_width, n_types and vocab give {expected[name]}")
-    missing = [n for n in expected if n not in names and n not in ("bilinear", "bilinear_structure")]
+    required = [n for n in expected if n not in ("bilinear", "bilinear_structure")]
+    # the matrices the header's score kinds read; a structure kind of
+    # bilinear reads the mention matrix when it has none of its own
+    if header.get("mention_score_kind") == ScoreKind.BILINEAR.value or (
+            header.get("structure_score_kind") == ScoreKind.BILINEAR.value
+            and "bilinear_structure" not in names):
+        required.append("bilinear")
+    missing = [n for n in required if n not in names]
     if missing:
         raise CheckpointError(f"{path}: header 'tensors' lacks required tensor {missing[0]!r}")
     if names != [n for n in expected if n in names]:

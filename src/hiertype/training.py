@@ -189,21 +189,28 @@ assert set(_CONFIG_PARSERS) == {f.name for f in fields(TrainConfig)}
 
 
 def config_from_strings(pairs: Mapping[str, str], base: TrainConfig | None = None) -> TrainConfig:
+    return located_config({key: ("", raw) for key, raw in pairs.items()}, base)
+
+
+def located_config(located: Mapping[str, tuple[str, str]], base: TrainConfig | None = None) -> TrainConfig:
+    """A config from ``key -> (location, value)`` strings; an unknown key or
+    a value that does not parse is reported at its location, if any."""
     cfg = replace(base) if base is not None else TrainConfig()
-    for key, raw in pairs.items():
+    for key, (where, raw) in located.items():
+        at = f"{where}: " if where else ""
         parser = _CONFIG_PARSERS.get(key)
         if parser is None:
-            raise ConfigError(f"unknown config key: {key!r}")
+            raise ConfigError(f"{at}unknown config key: {key!r}")
         try:
             setattr(cfg, key, parser(raw))
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+            raise ConfigError(f"{at}bad value for {key!r}: {exc}") from exc
     return cfg
 
 
 def load_train_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
     """Flat ``key=value`` file with ``#`` comments and blank lines."""
-    pairs: dict[str, str] = {}
+    located: dict[str, tuple[str, str]] = {}
     with located_decode_errors(path, ConfigError), open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             s = line.strip()
@@ -212,8 +219,8 @@ def load_train_config(path: str, base: TrainConfig | None = None) -> TrainConfig
             key, sep, value = s.partition("=")
             if not sep:
                 raise ConfigError(f"{path}:{line_no}: expected key=value, got {s!r}")
-            pairs[key.strip()] = value.strip()
-    return config_from_strings(pairs, base)
+            located[key.strip()] = (f"{path}:{line_no}", value.strip())
+    return located_config(located, base)
 
 
 # ----------------------------------------------------------------------
@@ -631,7 +638,9 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place, per tensor in this
+    order: ``m *= b1; m += (1-b1)*g; v *= b2; v += (1-b2)*g*g;
+    p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)`` with ``bc = 1 - b**t``."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t

@@ -4,14 +4,20 @@ Everything here recomputes results through a second, deliberately different
 route: scalar Python loops instead of vectorized numpy, breadth-first
 reachability instead of the collapsed-class closure DP, per-rank
 recomputation instead of a cumulative pass, set inclusion instead of
-conditional-frequency counting.  Tests compare the two routes; nothing in
-the package imports this module.
+conditional-frequency counting, and the training loop's step protocol
+spelled out around the package's own loss.  Tests compare the two routes;
+nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+
+import numpy as np
+
+from hiertype import (DropoutMasks, batch_iter, evaluate_model, init_model, loss,
+                      prepare_typing_batch)
 
 SIGMOID_CLAMP = 1e-12
 
@@ -376,3 +382,85 @@ def load_embeddings_per_line(path: str, dim: int, warnings: list[str]):
         if not all(math.isfinite(v) for v in row):
             raise EmbeddingFileError(f"{path}:{line_no}: non-finite value for {token!r}")
     return tokens, rows
+
+
+# ----------------------------------------------------------------------
+# the training loop, restated as plain loops
+
+
+def adam_scalar(p, g, m, v, t, *, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam step ``t`` over lists of Python floats, in
+    place, one element at a time in the order ``adam_step`` documents.
+    IEEE ``*``, ``/`` and ``sqrt`` round correctly, so each element equals
+    numpy's bit for bit."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for i in range(len(p)):
+        m[i] = m[i] * beta1 + (1.0 - beta1) * g[i]
+        v[i] = v[i] * beta2 + (1.0 - beta2) * (g[i] * g[i])
+        p[i] = p[i] - lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
+
+
+def train_trajectory(train_examples, dev_examples, hierarchy, emb, config):
+    """``training.train``'s step protocol, restated: returns the parameter
+    vector after every step, the ``(epoch, train_loss, dev_map)`` rows, the
+    best epoch and the best-epoch parameters.
+
+    Gradients come from ``training.loss``, which the finite differences
+    verify; everything around it is spelled out here:
+    - three generators spawned from the seed: init, dropout masks,
+      structure samples;
+    - batch order from ``batch_iter(seed, epoch - 1)``;
+    - per step, each mention draws 2d concat then d hidden uniforms from
+      the mask stream, kept where below 1 - p and scaled by 1 / (1 - p);
+    - per step at a positive structure weight, one sample without
+      replacement of the (type, ancestors) pool, or the whole pool when
+      the sample would cover it;
+    - ``adam_scalar`` with the step count;
+    - dev MAP after every epoch, strict improvement, and a stop once the
+      epochs since the best reach the patience.
+    """
+    init_ss, mask_ss, struct_ss = np.random.SeedSequence(config.seed).spawn(3)
+    mask_rng, struct_rng = np.random.default_rng(mask_ss), np.random.default_rng(struct_ss)
+    params = init_model(len(hierarchy), config, rng=np.random.default_rng(init_ss))
+    names = list(params.tensors())
+    p = params.flat.tolist()
+    m, v = [0.0] * len(p), [0.0] * len(p)
+    pool = [(i, hierarchy.ancestor_indexes(i)) for i in range(len(hierarchy))
+            if hierarchy.ancestor_indexes(i)]
+    keep, d = 1.0 - config.dropout, config.dim
+    steps, history, best_epoch, best_map, best = [], [], 0, -1.0, list(p)
+    for epoch in range(1, config.max_epochs + 1):
+        losses = []
+        for batch in batch_iter(train_examples, config.batch_size, config.seed, epoch - 1):
+            masks = None
+            if config.dropout > 0:
+                rows = [[(1.0 if u < keep else 0.0) / keep
+                         for u in list(mask_rng.random(2 * d)) + list(mask_rng.random(d))]
+                        for _ in batch]
+                masks = DropoutMasks(concat=np.array([r[:2 * d] for r in rows]),
+                                     hidden=np.array([r[2 * d:] for r in rows]))
+            sample = None
+            if config.structure_weight > 0:
+                sample = pool
+                if config.structure_batch_size < len(pool):
+                    picked = struct_rng.choice(len(pool), size=config.structure_batch_size,
+                                               replace=False)
+                    sample = [pool[int(i)] for i in picked]
+            params.flat[:] = p
+            value, grads, _ = loss(prepare_typing_batch(batch, emb), sample, params, config,
+                                   masks, grads=True)
+            g = [x for name in names for x in grads[name].ravel().tolist()]
+            adam_scalar(p, g, m, v, len(steps) + 1, lr=config.learning_rate,
+                        beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
+            steps.append(list(p))
+            losses.append(value)
+        params.flat[:] = p
+        dev_map = evaluate_model(dev_examples, params, emb, config.encoder_mode,
+                                 config.mention_score_kind).mean_ap
+        history.append((epoch, sum(losses) / len(losses), dev_map))
+        if dev_map > best_map:
+            best_epoch, best_map, best = epoch, dev_map, list(p)
+        elif epoch - best_epoch >= config.patience:
+            break
+    return steps, history, best_epoch, best

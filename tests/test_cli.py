@@ -117,6 +117,14 @@ def test_stats_rejects_malformed_ancestors(tmp_path, capsys):
     assert f"error: {out}:" in capsys.readouterr().err
 
 
+def test_stats_names_the_file_and_link_of_a_bad_json_link(tmp_path, capsys):
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"format": "hiertype-hierarchy", "version": 1, "types": ["a", "b"],
+                             "links": [["a", "b", "bogus"]]}), encoding="utf-8")
+    assert main(["stats", "--hierarchy", str(p)]) == 2
+    assert f"error: {p}: link 0: unknown link kind: 'bogus'" in capsys.readouterr().err
+
+
 def test_build_hierarchy_deterministic_and_loadable(tmp_path, capsys):
     links = tmp_path / "links.tsv"
     links.write_text(LINKS, encoding="utf-8")
@@ -265,6 +273,26 @@ def test_train_set_overrides(task, tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["config", "set"])
+@pytest.mark.parametrize("item, message", [
+    ("dimm=3", "unknown config key: 'dimm'"),
+    ("dim=abc", "bad value for 'dim'"),
+])
+def test_train_config_faults_name_their_location(task, tmp_path, capsys, route, item, message):
+    config, extra = task["config"], ["--set", item]
+    if route == "config":
+        text = open(task["config"], encoding="utf-8").read() + item + "\n"
+        config, extra = tmp_path / "faulty.cfg", []
+        config.write_text(text, encoding="utf-8")
+        where = f"{config}:{len(text.splitlines())}"
+    else:
+        where = f"--set {item!r}"
+    assert main(["train", "--config", str(config), "--hierarchy", task["links"],
+                 "--train", task["train"], "--dev", task["dev"],
+                 "--out", str(tmp_path / "x.ckpt"), *extra]) == 2
+    assert f"error: {where}: {message}" in capsys.readouterr().err
+
+
 def test_train_requires_embeddings(task, tmp_path, capsys):
     cfg = tmp_path / "bare.cfg"
     cfg.write_text("dim=4\nmention_score_kind=dot\nmax_epochs=1\n", encoding="utf-8")
@@ -362,6 +390,31 @@ def test_eval_rejects_inconsistent_checkpoint(task, capsys, edit, message):
                  "--hierarchy", task["links"]]) == 2
     err = capsys.readouterr().err
     assert f"error: {model}: " in err and message in err, err
+
+
+def _drop_tensor(name):
+    def edit(header, blob):
+        sizes = [8 * int(np.prod(shape)) for _, shape in header["tensors"]]
+        at = [n for n, _ in header["tensors"]].index(name)
+        del header["tensors"][at]
+        start = sum(sizes[:at])
+        return blob[:start] + blob[start + sizes[at]:]
+    return edit
+
+
+@pytest.mark.parametrize("settings, cut", [
+    (["--set", "mention_score_kind=bilinear"], "bilinear"),
+    (["--set", "structure_weight=0.5", "--set", "structure_score_kind=bilinear"],
+     "bilinear_structure"),
+], ids=["mention", "structure"])
+def test_eval_rejects_a_checkpoint_without_the_bilinear_matrix_its_kinds_read(
+        task, tmp_path, capsys, settings, cut):
+    model = run_train(task, extra=["--seed", "13", *settings])
+    _rewrite_checkpoint(model, _drop_tensor(cut))
+    assert main(["eval", "--model", model, "--corpus", task["dev"],
+                 "--hierarchy", task["links"]]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}: header 'tensors' lacks required tensor 'bilinear'" in err, err
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -166,6 +166,44 @@ def test_unknown_kind_rejected():
         build([("a", "b", "sibling_of")])
 
 
+LINK_FAULTS = {
+    "empty_name": (("a", "", "child_of"), "empty type name"),
+    "unknown_kind": (("a", "b", "bogus"), "unknown link kind: 'bogus'"),
+    "self_link": (("a", "a", "child_of"), "self link on 'a' (child_of)"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LINK_FAULTS))
+@pytest.mark.parametrize("route", ["text", "from_links", "from_dict"])
+def test_link_faults_name_their_location(tmp_path, route, fault):
+    """One resolver judges every route's links; each route names where the
+    faulty link sits: file:line for text, the link's index otherwise."""
+    bad, message = LINK_FAULTS[fault]
+    links = [("x", "y", "child_of"), bad]
+    with pytest.raises(HierarchyError) as exc:
+        if route == "text":
+            p = tmp_path / "links.tsv"
+            p.write_text("".join("\t".join(link) + "\n" for link in links), encoding="utf-8")
+            load_hierarchy(str(p))
+        elif route == "from_links":
+            TypeHierarchy.from_links(links, source="mem")
+        else:
+            TypeHierarchy.from_dict({"format": "hiertype-hierarchy", "version": 1,
+                                     "types": ["x", "y", "a", "b"], "links": links},
+                                    source="h.json")
+    where = {"text": f"{tmp_path / 'links.tsv'}:2", "from_links": "mem: link 1",
+             "from_dict": "h.json: link 1"}[route]
+    assert str(exc.value) == f"{where}: {message}"
+
+
+def test_thousand_type_chain_needs_no_recursion():
+    names = [f"t{i:04d}" for i in range(1000)]
+    h = build([(child, parent, "child_of") for parent, child in zip(names, names[1:])])
+    assert h.depth_of(names[-1]) == 1000
+    assert [t.name for t in h.ancestors(names[-1])] == sorted(names[:-1], key=lambda n: h.resolve(n).index)
+    assert h.depth_of(names[0]) == 1 and h.ancestors(names[0]) == ()
+
+
 # ----------------------------------------------------------------------
 # link text parsing
 

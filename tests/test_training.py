@@ -31,11 +31,12 @@ from hiertype import (
     train,
     write_history,
 )
-from hiertype import model
+from hiertype import model, training
 from hiertype.training import (EpochMetrics, PreparedMention, _membership_grid,
                                _sample_structure_batch)
 
 import oracles
+import synthtask
 from generators import random_model, random_sentence, structure_only_loss, zero_encoder_tensors
 
 
@@ -750,6 +751,22 @@ def test_adam_updates_model_views_in_place():
     assert not np.array_equal(params.type_emb, before)  # dict holds live views
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e2])
+def test_adam_matches_the_scalar_loop_bit_for_bit_over_30_steps(scale):
+    rng = np.random.default_rng(31)
+    params = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=11)}
+    state = AdamState.for_params(params)
+    p = [x for arr in params.values() for x in arr.ravel().tolist()]
+    m, v = [0.0] * len(p), [0.0] * len(p)
+    for t in range(1, 31):
+        grads = {k: scale * rng.normal(size=arr.shape) for k, arr in params.items()}
+        adam_step(params, grads, state, lr=0.01)
+        g = [x for arr in grads.values() for x in arr.ravel().tolist()]
+        oracles.adam_scalar(p, g, m, v, t, lr=0.01)
+        got = np.concatenate([arr.ravel() for arr in params.values()])
+        assert np.array_equal(got.view(np.int64), np.array(p).view(np.int64)), (scale, t)
+
+
 def test_sample_structure_batch():
     rng = np.random.default_rng(13)
     pool = [(i, (0,)) for i in range(1, 6)]
@@ -844,6 +861,57 @@ def test_train_seed_changes_the_run():
     a = train(examples, examples, hier, emb, cfg_a)
     b = train(examples, examples, hier, emb, cfg_b)
     assert not np.array_equal(a.params.type_emb, b.params.type_emb)
+
+
+# the five configurations whose checkpoint and history bytes are pinned
+# across refactors, plus one whose dev MAP ties from epoch to epoch
+TRAJECTORY_CONFIGS = {
+    "bilinear_cnn": dict(mention_score_kind=ScoreKind.BILINEAR, dropout=0.5),
+    "order_structure": dict(mention_score_kind=ScoreKind.ORDER, structure_weight=0.5,
+                            structure_batch_size=8, dropout=0.3),
+    "dot_mention": dict(mention_score_kind=ScoreKind.DOT, encoder_mode=EncoderMode.MENTION_ONLY),
+    "bilinear_shared": dict(mention_score_kind=ScoreKind.BILINEAR, structure_weight=0.5,
+                            structure_batch_size=8, dropout=0.5, share_bilinear=True),
+    "bilinear_separate": dict(mention_score_kind=ScoreKind.BILINEAR, structure_weight=0.5,
+                              structure_batch_size=8, dropout=0.5),
+    "flat_dev": dict(mention_score_kind=ScoreKind.DOT, learning_rate=1e-12, patience=1),
+}
+
+
+@pytest.mark.parametrize("name", list(TRAJECTORY_CONFIGS))
+def test_train_follows_the_step_protocol_bit_for_bit(monkeypatch, name):
+    hierarchy, emb, train_examples, dev_examples = synthtask.build_in_memory(
+        seed=13, count=120, train_count=96, dim=8)
+    cfg = TrainConfig(**{**dict(dim=8, filter_width=3, batch_size=16, max_epochs=3, patience=3,
+                                seed=13, learning_rate=0.01, dropout=0.0),
+                         **TRAJECTORY_CONFIGS[name]})
+    steps, history, best_epoch, best = oracles.train_trajectory(
+        train_examples, dev_examples, hierarchy, emb, cfg)
+
+    made, seen = [], []
+    real_init, real_adam = training.init_model, training.adam_step
+
+    def init_spy(*args, **kwargs):
+        made.append(real_init(*args, **kwargs))
+        return made[-1]
+
+    def adam_spy(*args, **kwargs):
+        real_adam(*args, **kwargs)
+        seen.append(made[0].flat.copy())
+
+    monkeypatch.setattr(training, "init_model", init_spy)
+    monkeypatch.setattr(training, "adam_step", adam_spy)
+    result = train(train_examples, dev_examples, hierarchy, emb, cfg)
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).view(np.int64)
+
+    assert len(seen) == len(steps)
+    for t, (got, want) in enumerate(zip(seen, steps), start=1):
+        assert np.array_equal(bits(got), bits(want)), f"parameters differ after step {t}"
+    assert [(h.epoch, h.train_loss, h.dev_map) for h in result.history] == history
+    assert result.best_epoch == best_epoch
+    assert np.array_equal(bits(result.params.flat), bits(best))
 
 
 def test_train_structure_weight_requires_ancestors():
