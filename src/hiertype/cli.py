@@ -216,6 +216,7 @@ def _cmd_train(args) -> int:
         cfg.embeddings = args.embeddings
     if args.seed is not None:
         cfg.seed = args.seed
+        cfg.where["seed"] = "--seed"
     cfg.validate()
     if not cfg.embeddings:
         raise ConfigError("no embeddings path given (config key 'embeddings' or --embeddings)")

@@ -44,12 +44,13 @@ class HierarchyParseError(HierarchyError):
 
 
 class CycleError(HierarchyError):
-    """Raised when the collapsed child->parent graph is not acyclic."""
+    """Raised when the collapsed child->parent graph is not acyclic; the
+    message names the input the links came from."""
 
-    def __init__(self, cycle: Sequence[str]):
+    def __init__(self, cycle: Sequence[str], source: str = "<memory>"):
         names = list(cycle)
         loop = " -> ".join(names + names[:1])
-        super().__init__(f"hierarchy contains a cycle: {loop}")
+        super().__init__(f"{source}: hierarchy contains a cycle: {loop}")
         self.cycle = tuple(names)
 
 
@@ -179,8 +180,11 @@ class TypeHierarchy:
                 child, parent, kind = _resolve_link(child, parent, kind)
             except HierarchyError as exc:
                 raise HierarchyError(f"{source}: link {i}: {exc}") from exc
-            if name_order is not None and (child not in index or parent not in index):
-                raise HierarchyError(f"{source}: link names a type outside the declared order")
+            if name_order is not None:
+                for name in (child, parent):
+                    if name not in index:
+                        raise HierarchyError(
+                            f"{source}: link {i}: type {name!r} is not in the declared order")
             ci, pi = intern(child), intern(parent)
             if kind is LinkKind.EQUIVALENCE:
                 key = (kind, min(ci, pi), max(ci, pi))
@@ -203,12 +207,12 @@ class TypeHierarchy:
         self.links: tuple[Link, ...] = tuple(
             Link(self._ids[index[c]], self._ids[index[p]], k) for c, p, k in deduped
         )
-        self._build_closure()
+        self._build_closure(source)
 
     # ------------------------------------------------------------------
     # construction internals
 
-    def _build_closure(self) -> None:
+    def _build_closure(self, source: str) -> None:
         n = len(self._names)
 
         # Union-find over equivalence links; collapse before reachability.
@@ -239,7 +243,7 @@ class TypeHierarchy:
             c, p = rep_of[link.child.index], rep_of[link.parent.index]
             if c == p:
                 # child-of edge inside one equivalence class: collapsed self loop
-                raise CycleError([link.child.name, link.parent.name])
+                raise CycleError([link.child.name, link.parent.name], source)
             parents[c].add(p)
 
         # Depth-first over class parents in sorted order; each class gets its
@@ -255,7 +259,7 @@ class TypeHierarchy:
                 for p in walk[k]:
                     if p in walk:
                         path = list(walk)
-                        raise CycleError([self._names[r] for r in path[path.index(p):]])
+                        raise CycleError([self._names[r] for r in path[path.index(p):]], source)
                     if p not in anc:
                         walk[p] = iter(sorted(parents[p]))
                         break

@@ -38,11 +38,16 @@ Penalties are always >= 0 and are added to losses for negative pairs.
 
 ``score_all_types`` and ``rank_types`` score one vector m of shape (d,)
 into (N,) scores, or a batch (B, d) into (B, N).  The order energy
-(Vendrov et al. 2016) has one kernel, ``order_energy_chunks``, shared by
-scoring and the training grid: it walks the N types in chunks of
-ORDER_CHUNK and holds max(0, y - x) in one reused (B, ORDER_CHUNK, d)
-buffer, never a (B, N, d) array.  Bilinear scores are associated as
-(m @ A) @ T', so no product has N x d x d cost.
+(Vendrov et al. 2016) has one kernel, ``order_grid``, shared by scoring
+(forward only) and the training grid (forward plus fused backward).  It
+splits the N types into ORDER_LANES contiguous lanes of whole ORDER_CHUNK
+chunks, and a lane walks the batch in tiles of ORDER_TILE rows through its
+own (ORDER_TILE, ORDER_CHUNK, d) buffer, which stays in L2; there is never
+a (B, N, d) array.  The lanes run on min(ORDER_LANES, usable CPUs) pool
+threads, or one after another on one CPU.  Energies, and so rankings and
+MAP, are bit-identical to a serial walk, and no gradient bit depends on
+the CPU count.  Bilinear scores are associated as (m @ A) @ T', so no
+product has N x d x d cost.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import json
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -370,25 +376,114 @@ def encode_mention(
 
 
 # types per chunk of the order kernel: a sweep over 16-96 at d = 300 and
-# B = 32 or 128 found 32-64 fastest, and the buffer stays (B, 32, d)
+# B = 32 or 128 found 32-64 fastest
 ORDER_CHUNK = 32
+# x rows per tile: a (ORDER_TILE, ORDER_CHUNK, d) buffer is 614 KB at
+# d = 300, so it stays in a 2 MiB L2 whatever the batch size
+ORDER_TILE = 8
+# contiguous ranges of whole chunks; the lane count, never the worker
+# count, fixes the order of every sum
+ORDER_LANES = 2
+
+_lane_pools: dict = {}  # worker count -> ThreadPoolExecutor
+_lane_pools_lock = threading.Lock()
 
 
-def order_energy_chunks(x: np.ndarray, y: np.ndarray, energy: np.ndarray):
-    """The order kernel, walked over the rows of y in chunks of ORDER_CHUNK.
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    For each chunk it writes E[b, n] = ||max(0, y[n] - x[b])||^2 into
-    ``energy[:, s:e]`` and yields ``(s, e, r)`` with r = max(0, y[s:e] - x)
-    of shape (B, e - s, d).  Every r is a view of one reused (B, C, d)
-    buffer, so a caller consumes it before asking for the next chunk."""
-    buf = np.empty((x.shape[0], min(ORDER_CHUNK, y.shape[0]), x.shape[1]))
-    for s in range(0, y.shape[0], ORDER_CHUNK):
-        e = min(s + ORDER_CHUNK, y.shape[0])
-        r = buf[:, :e - s]
-        np.subtract(y[None, s:e], x[:, None], out=r)
-        np.maximum(r, 0.0, out=r)
-        np.einsum("bcd,bcd->bc", r, r, out=energy[:, s:e])
-        yield s, e, r
+
+def _run_lanes(lane, n: int) -> None:
+    """``lane(k)`` for k in range(n).  With more than one usable CPU the
+    lanes run on a pool of min(ORDER_LANES, CPUs) threads, created on first
+    use; numpy's ufuncs and ``einsum`` release the GIL, so the lanes
+    overlap.  Otherwise they run one after another."""
+    workers = min(ORDER_LANES, _usable_cpus())
+    if workers <= 1 or n <= 1:
+        for k in range(n):
+            lane(k)
+        return
+    with _lane_pools_lock:
+        if workers not in _lane_pools:
+            from concurrent.futures import ThreadPoolExecutor
+            _lane_pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix="hiertype-order")
+        pool = _lane_pools[workers]
+    for _ in pool.map(lane, range(n)):
+        pass  # re-raises a lane's exception
+
+
+def _order_lanes(n: int) -> list[tuple[int, int]]:
+    """ORDER_LANES contiguous ranges of whole ORDER_CHUNK chunks over n type
+    rows, as even as whole chunks allow; one range when n <= ORDER_CHUNK."""
+    chunks = -(-n // ORDER_CHUNK)
+    lanes = max(1, min(ORDER_LANES, chunks))
+    cuts = [min(k * chunks // lanes * ORDER_CHUNK, n) for k in range(lanes + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+def order_grid(
+    x: np.ndarray,
+    y: np.ndarray,
+    pos: np.ndarray | None = None,
+    neg: np.ndarray | None = None,
+    margin: float | None = None,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The order kernel: E[b, n] = ||max(0, y[n] - x[b])||^2 for x (B, d)
+    and y (N, d), returned as ``(E, d_x, d_y)``.
+
+    Without masks the gradients are None.  With boolean (B, N) masks
+    ``pos`` and ``neg`` they are the gradients of
+    sum(E * pos) + sum(max(0, margin - E) * neg) with respect to x and y.
+
+    The rows of y split into the ``_order_lanes`` ranges.  A lane walks its
+    chunks, and within each chunk the rows of x in tiles of ORDER_TILE,
+    through its own reused (ORDER_TILE, ORDER_CHUNK, d) buffer.  A tile
+    writes its energies and adds its share to the lane's d_x partial and to
+    d_y's chunk rows, which no other lane touches.  Each energy is one
+    reduction over d, so E is bit-identical to a serial one-chunk walk;
+    d_x is the lane partials summed in lane order, so no bit depends on
+    how many workers ran the lanes."""
+    B, d = x.shape
+    N = y.shape[0]
+    energy = np.empty((B, N))
+    grads = pos is not None
+    d_y = np.zeros_like(y) if grads else None
+    bounds = _order_lanes(N)
+    # the buffers and partials come from this thread's allocator: memory a
+    # worker thread allocates stays in its own malloc arena after the call
+    bufs = np.empty((len(bounds), min(ORDER_TILE, B), min(ORDER_CHUNK, N), d))
+    d_xs = np.zeros((len(bounds), B, d)) if grads else None
+
+    def lane(k: int) -> None:
+        lo, hi = bounds[k]
+        for s in range(lo, hi, ORDER_CHUNK):
+            e = min(s + ORDER_CHUNK, hi)
+            for b in range(0, B, ORDER_TILE):
+                t = min(b + ORDER_TILE, B)
+                r = bufs[k, :t - b, :e - s]
+                np.subtract(y[None, s:e], x[b:t, None], out=r)
+                np.maximum(r, 0.0, out=r)
+                en = energy[b:t, s:e]
+                np.einsum("bcd,bcd->bc", r, r, out=en)
+                if grads:
+                    # dL/dE: 1 on pos, -1 on neg where the hinge is active
+                    coeff = np.subtract(pos[b:t, s:e], neg[b:t, s:e] & (en < margin),
+                                        dtype=np.float64)
+                    d_xs[k, b:t] += np.einsum("bc,bcd->bd", coeff, r)
+                    d_y[s:e] += np.einsum("bc,bcd->cd", coeff, r)
+
+    _run_lanes(lane, len(bounds))
+    if not grads:
+        return energy, None, None
+    d_x = d_xs[0]
+    for part in d_xs[1:]:
+        d_x += part
+    # dE/dx = -2 max(0, y - x), dE/dy = +2 max(0, y - x)
+    d_x *= -2.0
+    d_y *= 2.0
+    return energy, d_x, d_y
 
 
 def score_all_types(
@@ -405,9 +500,7 @@ def score_all_types(
         raise ModelError(f"mention vectors must be (d,) or (B, d), got {m.shape}")
     x = np.atleast_2d(m)
     if kind is ScoreKind.ORDER:
-        scores = np.empty((x.shape[0], T.shape[0]))
-        for _ in order_energy_chunks(x, T, scores):
-            pass
+        scores = order_grid(x, T)[0]
         np.negative(scores, out=scores)
     elif kind is ScoreKind.BILINEAR:
         if bilinear is None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -49,7 +49,7 @@ from .model import (
     encode_vectors_cached,
     log_sigmoid,
     neg_log_one_minus_sigmoid,
-    order_energy_chunks,
+    order_grid,
     sample_dropout_masks,
     sigmoid,
     _tensor_shapes,
@@ -95,42 +95,51 @@ class TrainConfig:
     patience: int = 5
     seed: int = 13
     embeddings: str | None = None
+    # key -> where its value was set ("path:line", "--set 'k=v'"), kept by
+    # located_config so that a validate fault names it; not a config key
+    where: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
 
     def effective_structure_kind(self) -> ScoreKind:
         return self.mention_score_kind if self.structure_score_kind is None else self.structure_score_kind
 
     def validate(self) -> None:
+        """Raise ConfigError on the first bad value, prefixed with the
+        location ``where`` holds for its key, if any."""
+        def fail(key: str, message: str):
+            at = self.where.get(key)
+            raise ConfigError(f"{at}: {message}" if at else message)
+
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
+                fail(f.name, f"{f.name} must be finite, got {value!r}")
         if self.dim < 1:
-            raise ConfigError(f"dim must be positive, got {self.dim}")
+            fail("dim", f"dim must be positive, got {self.dim}")
         if self.filter_width < 1 or self.filter_width % 2 == 0:
-            raise ConfigError(f"filter_width must be odd and positive, got {self.filter_width}")
+            fail("filter_width", f"filter_width must be odd and positive, got {self.filter_width}")
         if self.margin <= 0:
-            raise ConfigError(f"margin must be positive, got {self.margin!r}")
+            fail("margin", f"margin must be positive, got {self.margin!r}")
         if self.structure_weight < 0:
-            raise ConfigError(f"structure_weight must be >= 0, got {self.structure_weight!r}")
+            fail("structure_weight", f"structure_weight must be >= 0, got {self.structure_weight!r}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout!r}")
+            fail("dropout", f"dropout must be in [0, 1), got {self.dropout!r}")
         if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate!r}")
+            fail("learning_rate", f"learning_rate must be positive, got {self.learning_rate!r}")
         if min(self.batch_size, self.structure_batch_size) < 1:
-            raise ConfigError("batch sizes must be positive")
+            fail("batch_size" if self.batch_size < 1 else "structure_batch_size", "batch sizes must be positive")
         if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+            fail("max_epochs", f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.patience < 1:
-            raise ConfigError(f"patience must be >= 1, got {self.patience}")
+            fail("patience", f"patience must be >= 1, got {self.patience}")
         if not 0.0 <= self.adam_beta1 < 1.0 or not 0.0 <= self.adam_beta2 < 1.0:
-            raise ConfigError("adam betas must be in [0, 1)")
+            fail("adam_beta1" if not 0.0 <= self.adam_beta1 < 1.0 else "adam_beta2", "adam betas must be in [0, 1)")
         if self.adam_eps <= 0:
-            raise ConfigError(f"adam_eps must be positive, got {self.adam_eps!r}")
+            fail("adam_eps", f"adam_eps must be positive, got {self.adam_eps!r}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
+            fail("seed", f"seed must be a non-negative integer, got {self.seed}")
         if self.share_bilinear:
             if self.mention_score_kind is not ScoreKind.BILINEAR or self.effective_structure_kind() is not ScoreKind.BILINEAR:
-                raise ConfigError("share_bilinear requires bilinear mention and structure scoring")
+                fail("share_bilinear", "share_bilinear requires bilinear mention and structure scoring")
 
 
 def _parse_bool(text: str) -> bool:
@@ -185,7 +194,7 @@ _CONFIG_PARSERS: dict[str, Callable[[str], object]] = {
     "seed": int,
     "embeddings": _parse_optional_path,
 }
-assert set(_CONFIG_PARSERS) == {f.name for f in fields(TrainConfig)}
+assert set(_CONFIG_PARSERS) == {f.name for f in fields(TrainConfig)} - {"where"}
 
 
 def config_from_strings(pairs: Mapping[str, str], base: TrainConfig | None = None) -> TrainConfig:
@@ -194,8 +203,10 @@ def config_from_strings(pairs: Mapping[str, str], base: TrainConfig | None = Non
 
 def located_config(located: Mapping[str, tuple[str, str]], base: TrainConfig | None = None) -> TrainConfig:
     """A config from ``key -> (location, value)`` strings; an unknown key or
-    a value that does not parse is reported at its location, if any."""
+    a value that does not parse is reported at its location, if any, and
+    ``cfg.where`` keeps each key's location for ``validate``."""
     cfg = replace(base) if base is not None else TrainConfig()
+    cfg.where = dict(cfg.where)
     for key, (where, raw) in located.items():
         at = f"{where}: " if where else ""
         parser = _CONFIG_PARSERS.get(key)
@@ -205,6 +216,10 @@ def located_config(located: Mapping[str, tuple[str, str]], base: TrainConfig | N
             setattr(cfg, key, parser(raw))
         except ValueError as exc:
             raise ConfigError(f"{at}bad value for {key!r}: {exc}") from exc
+        if where:
+            cfg.where[key] = where
+        else:
+            cfg.where.pop(key, None)
     return cfg
 
 
@@ -338,27 +353,15 @@ def _membership_grid(
     if kind is ScoreKind.ORDER:
         if margin <= 0:
             raise ModelError(f"order margin must be positive, got {margin!r}")
-        energy = np.empty(pos.shape)
-        d_x = np.zeros_like(x) if want_grads else None
-        d_y = np.empty_like(y) if want_grads else None
-        live = pos | neg
-        rect_bits = []  # laid out chunk by chunk
-        for s, e, rect in order_energy_chunks(x, y, energy):
-            if want_pattern:
-                rect_bits.append(np.packbits((rect > 0.0) & live[:, s:e, None]).tobytes())
-            if want_grads:
-                # dE/dx = -2 rect, dE/dy = +2 rect; hinge contributes -dE when active
-                coeff = pos[:, s:e].astype(np.float64) - (neg[:, s:e] & (energy[:, s:e] < margin))
-                d_x += np.einsum("bc,bcd->bd", coeff, rect)
-                np.einsum("bc,bcd->cd", coeff, rect, out=d_y[s:e])
+        masks = (pos, neg, margin) if want_grads else ()
+        energy, d_x, d_y = order_grid(x, y, *masks)
         hinge_active = energy < margin
         loss_sum = float((energy * pos).sum() + (np.maximum(margin - energy, 0.0) * neg).sum())
         if want_pattern:
-            pattern = [b"".join(rect_bits), np.packbits(hinge_active & neg).tobytes()]
-        if not want_grads:
-            return _GridResult(loss_sum, None, None, None, pattern)
-        d_y *= 2.0
-        return _GridResult(loss_sum, -2.0 * d_x, d_y, None, pattern)
+            # the rectifier max(0, y - x) is positive exactly where y > x
+            rect_on = (y[None] > x[:, None]) & (pos | neg)[:, :, None]
+            pattern = [np.packbits(rect_on).tobytes(), np.packbits(hinge_active & neg).tobytes()]
+        return _GridResult(loss_sum, d_x, d_y, None, pattern)
 
     if kind is ScoreKind.BILINEAR:
         if bilinear is None:

@@ -150,7 +150,24 @@ def test_build_hierarchy_rejects_links_outside_declared_types(tmp_path, capsys):
         "links": [["a", "zzz", "child_of"]]}), encoding="utf-8")
     out = tmp_path / "o.json"
     assert main(["build-hierarchy", "--links", str(serialized), "--out", str(out)]) == 2
-    assert "link names a type outside the declared order" in capsys.readouterr().err
+    assert f"error: {serialized}: link 0: type 'zzz' is not in the declared order" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("route", ["links", "json"])
+def test_build_hierarchy_cycle_names_the_file(tmp_path, capsys, route):
+    if route == "links":
+        src = tmp_path / "cyc.tsv"
+        src.write_text("a\tb\tchild_of\nb\ta\tchild_of\n", encoding="utf-8")
+    else:
+        src = tmp_path / "cyc.json"
+        src.write_text(json.dumps({
+            "format": "hiertype-hierarchy", "version": 1, "types": ["a", "b"],
+            "links": [["a", "b", "child_of"], ["b", "a", "child_of"]]}), encoding="utf-8")
+    out = tmp_path / "o.json"
+    assert main(["build-hierarchy", "--links", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {src}: hierarchy contains a cycle: a -> b -> a"
     assert not out.exists()
 
 
@@ -277,6 +294,8 @@ def test_train_set_overrides(task, tmp_path, capsys):
 @pytest.mark.parametrize("item, message", [
     ("dimm=3", "unknown config key: 'dimm'"),
     ("dim=abc", "bad value for 'dim'"),
+    ("dim=0", "dim must be positive, got 0"),
+    ("adam_beta2=1.5", "adam betas must be in [0, 1)"),
 ])
 def test_train_config_faults_name_their_location(task, tmp_path, capsys, route, item, message):
     config, extra = task["config"], ["--set", item]
@@ -291,6 +310,13 @@ def test_train_config_faults_name_their_location(task, tmp_path, capsys, route, 
                  "--train", task["train"], "--dev", task["dev"],
                  "--out", str(tmp_path / "x.ckpt"), *extra]) == 2
     assert f"error: {where}: {message}" in capsys.readouterr().err
+
+
+def test_train_seed_flag_fault_names_the_flag(task, tmp_path, capsys):
+    assert main(["train", "--config", task["config"], "--hierarchy", task["links"],
+                 "--train", task["train"], "--dev", task["dev"],
+                 "--out", str(tmp_path / "x.ckpt"), "--seed", "-1"]) == 2
+    assert "error: --seed: seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
 
 def test_train_requires_embeddings(task, tmp_path, capsys):

@@ -129,6 +129,9 @@ def test_cycle_rejected_with_concrete_cycle():
         build([("a", "b", "child_of"), ("b", "c", "child_of"), ("c", "a", "child_of")])
     assert set(exc.value.cycle) == {"a", "b", "c"}
     assert "->" in str(exc.value)
+    with pytest.raises(CycleError, match="^mem: hierarchy contains a cycle: a -> b -> a$") as exc:
+        TypeHierarchy.from_links([("a", "b", "child_of"), ("b", "a", "child_of")], source="mem")
+    assert exc.value.cycle == ("a", "b")
 
 
 def test_self_link_rejected():
@@ -306,7 +309,10 @@ def test_tampered_ancestors_rejected(tmp_path):
 def test_link_outside_declared_types_rejected():
     data = {"format": "hiertype-hierarchy", "version": 1, "types": ["a", "b"],
             "links": [["a", "zzz", "child_of"]]}
-    with pytest.raises(HierarchyError, match="^h.json: link names a type outside the declared order"):
+    with pytest.raises(HierarchyError, match="^h.json: link 0: type 'zzz' is not in the declared order$"):
+        TypeHierarchy.from_dict(data, source="h.json")
+    data["links"] = [["a", "b", "child_of"], ["x", "a", "parent_of"]]
+    with pytest.raises(HierarchyError, match="^h.json: link 1: type 'x' is not in the declared order$"):
         TypeHierarchy.from_dict(data, source="h.json")
 
 

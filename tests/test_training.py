@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -112,6 +113,19 @@ def test_config_rejects_unknown_keys_and_bad_values():
         config_from_strings({"share_bilinear": "maybe"})
     with pytest.raises(ConfigError):
         config_from_strings({"encoder_mode": "transformer"})
+
+
+def test_validate_names_where_a_bad_value_was_set():
+    cfg = training.located_config({"dim": ("c.cfg:3", "0")})
+    with pytest.raises(ConfigError, match=r"^c\.cfg:3: dim must be positive, got 0$"):
+        cfg.validate()
+    fixed = training.located_config({"dim": ("--set 'dim=4'", "4")}, base=cfg)
+    fixed.validate()
+    assert fixed.where == {"dim": "--set 'dim=4'"} and cfg.where == {"dim": "c.cfg:3"}
+    unlocated = config_from_strings({"dim": "0"}, base=fixed)
+    with pytest.raises(ConfigError, match="^dim must be positive, got 0$"):
+        unlocated.validate()
+    assert unlocated == config_from_strings({"dim": "0"})  # where takes no part in equality
 
 
 def test_load_train_config(tmp_path):
@@ -638,32 +652,124 @@ def test_fd_check_ragged_batch_with_dropout():
 
 
 # ----------------------------------------------------------------------
-# the membership grid: the chunked order kernel and the logit grid
+# the membership grid: the tiled, laned order kernel and the logit grid
+
+
+def _order_case(rng, B, N, d=4):
+    x, y = rng.normal(scale=0.6, size=(B, d)), rng.normal(scale=0.6, size=(N, d))
+    pos = rng.random((B, N)) < 0.25
+    neg = ~pos & (rng.random((B, N)) < 0.8)
+    return x, y, pos, neg
+
+
+def _one_walk(monkeypatch, B, N):
+    """Set the kernel to one chunk, one tile and one lane."""
+    monkeypatch.setattr(model, "ORDER_CHUNK", max(N, 1))
+    monkeypatch.setattr(model, "ORDER_TILE", max(B, 1))
+    monkeypatch.setattr(model, "ORDER_LANES", 1)
+
+
+def test_order_lanes_are_contiguous_runs_of_whole_chunks(monkeypatch):
+    monkeypatch.setattr(model, "ORDER_CHUNK", 32)
+    monkeypatch.setattr(model, "ORDER_LANES", 2)
+    for N, bounds in ((0, [(0, 0)]), (5, [(0, 5)]), (32, [(0, 32)]), (33, [(0, 32), (32, 33)]),
+                      (97, [(0, 64), (64, 97)]), (1941, [(0, 960), (960, 1941)])):
+        assert model._order_lanes(N) == bounds, N
+    monkeypatch.setattr(model, "ORDER_CHUNK", 5)
+    assert model._order_lanes(12) == [(0, 5), (5, 12)]
 
 
 def test_order_grid_chunks_match_one_chunk(monkeypatch):
+    # 12 types in chunks of 5, 5 and 2 over lanes [0, 5) and [5, 12), and 7
+    # rows in tiles of 3, 3 and 1, on two workers
     rng = np.random.default_rng(40)
-    x, y = rng.normal(scale=0.6, size=(7, 4)), rng.normal(scale=0.6, size=(12, 4))
-    pos = rng.random((7, 12)) < 0.25
-    neg = ~pos & (rng.random((7, 12)) < 0.8)
+    x, y, pos, neg = _order_case(rng, 7, 12)
     monkeypatch.setattr(model, "ORDER_CHUNK", 5)
-    chunks = [(s, e) for s, e, _ in model.order_energy_chunks(x, y, np.empty((7, 12)))]
-    assert chunks == [(0, 5), (5, 10), (10, 12)]
+    monkeypatch.setattr(model, "ORDER_TILE", 3)
+    monkeypatch.setattr(model, "ORDER_LANES", 2)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     split = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
     split_scores = model.score_all_types(ScoreKind.ORDER, x, y)
-    monkeypatch.setattr(model, "ORDER_CHUNK", 12)
+    _one_walk(monkeypatch, 7, 12)
     whole = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
     assert split.loss_sum == whole.loss_sum
-    assert np.array_equal(split.d_y, whole.d_y)
+    assert np.allclose(split.d_y, whole.d_y, rtol=0.0, atol=1e-12)
     assert np.allclose(split.d_x, whole.d_x, rtol=0.0, atol=1e-12)
     assert np.array_equal(split_scores, model.score_all_types(ScoreKind.ORDER, x, y))
-    assert split.pattern[1] == whole.pattern[1]  # hinge bits; the rect bits are laid out per chunk
+    assert split.pattern == whole.pattern
+
+
+@pytest.mark.parametrize("B", [1, 7, 8, 9, 33])
+@pytest.mark.parametrize("N", [5, 32, 33, 97])
+def test_order_grid_tiles_and_lanes_match_one_walk(monkeypatch, B, N):
+    # the module's ORDER_CHUNK, ORDER_TILE and ORDER_LANES against one
+    # chunk, one tile and one lane; N = 97 splits into lanes of 64 and 33
+    rng = np.random.default_rng(1000 * B + N)
+    x, y, pos, neg = _order_case(rng, B, N)
+    tiled = model.order_grid(x, y, pos, neg, 1.0)
+    tiled_fwd = model.order_grid(x, y)
+    tiled_grid = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    tiled_scores = model.score_all_types(ScoreKind.ORDER, x, y)
+    _one_walk(monkeypatch, B, N)
+    whole = model.order_grid(x, y, pos, neg, 1.0)
+    whole_grid = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    assert np.array_equal(tiled[0], whole[0])
+    assert np.array_equal(tiled_fwd[0], whole[0]) and tiled_fwd[1:] == (None, None)
+    assert np.array_equal(tiled_scores, model.score_all_types(ScoreKind.ORDER, x, y))
+    assert np.allclose(tiled[1], whole[1], rtol=0.0, atol=1e-12)
+    assert np.allclose(tiled[2], whole[2], rtol=0.0, atol=1e-12)
+    assert tiled_grid.loss_sum == whole_grid.loss_sum
+    assert tiled_grid.pattern == whole_grid.pattern
+
+
+def test_order_grid_matches_the_pairwise_gradient_oracle():
+    rng = np.random.default_rng(43)
+    x, y, pos, neg = _order_case(rng, 9, 33)
+    margin = 1.0
+    _, d_x, d_y = model.order_grid(x, y, pos, neg, margin)
+    want_x, want_y = np.zeros_like(x), np.zeros_like(y)
+    for b in range(x.shape[0]):
+        for n in range(y.shape[0]):
+            r = np.maximum(y[n] - x[b], 0.0)
+            dl_de = float(pos[b, n]) - float(neg[b, n] and r @ r < margin)
+            want_x[b] -= 2.0 * dl_de * r
+            want_y[n] += 2.0 * dl_de * r
+    assert np.allclose(d_x, want_x, rtol=0.0, atol=1e-12)
+    assert np.allclose(d_y, want_y, rtol=0.0, atol=1e-12)
+
+
+def test_order_grid_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    rng = np.random.default_rng(44)
+    x, y, pos, neg = _order_case(rng, 33, 97, d=6)
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        # more workers than lanes or cores, with frequent thread switches
+        sys.setswitchinterval(1e-6)
+        for lanes, workers in ((2, 1), (2, 2), (4, 1), (4, 4)):
+            monkeypatch.setattr(model, "ORDER_CHUNK", 8)
+            monkeypatch.setattr(model, "ORDER_LANES", lanes)
+            monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+            energy, d_x, d_y = model.order_grid(x, y, pos, neg, 1.0)
+            grid = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, False)
+            runs[lanes, workers] = (energy, d_x, d_y, grid.loss_sum, grid.d_x, grid.d_y)
+    finally:
+        sys.setswitchinterval(interval)
+    for lanes in (2, 4):
+        serial, threaded = runs[lanes, 1], runs[lanes, lanes]
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+    assert np.array_equal(runs[2, 1][0], runs[4, 1][0])  # energies never depend on lanes
 
 
 def test_fd_check_multi_chunk_order_grid(monkeypatch):
-    # 12 types in chunks of 5, 5 and 2: every chunk's rectifier bits are in
-    # the pattern, and d_x sums over all three chunks
+    # 12 types in chunks of 5, 5 and 2, split into lanes [0, 5) and [5, 12);
+    # x rows in tiles of 2: every chunk's and tile's rectifier bits are in
+    # the pattern, and d_x sums over both lanes
     monkeypatch.setattr(model, "ORDER_CHUNK", 5)
+    monkeypatch.setattr(model, "ORDER_TILE", 2)
+    monkeypatch.setattr(model, "ORDER_LANES", 2)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
     rng = np.random.default_rng(41)
     d, n_types = 4, 12
     params = random_model(rng, d, 3, n_types, with_bilinear=False)
