@@ -235,11 +235,17 @@ def _read_jsonl(text: str, source: str) -> list[CorpusRecord]:
                 raise CorpusError("tokens must be a list of strings")
             if not isinstance(span, list) or len(span) != 2:
                 raise CorpusError("span must be a two-element list")
+            entity_id = obj.get("entity_id", "")
+            types = obj.get("types", [])
+            if not isinstance(entity_id, str):
+                raise CorpusError(f"entity_id must be a string, got {entity_id!r}")
+            if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
+                raise CorpusError(f"types must be a list of strings, got {types!r}")
             record = CorpusRecord(
                 tokens=tuple(tokens),
                 span=(span[0], span[1]),
-                entity_id=str(obj.get("entity_id", "")),
-                types=tuple(str(t) for t in obj.get("types", [])),
+                entity_id=entity_id,
+                types=tuple(types),
             )
         except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
             raise CorpusError(f"{source}:{line_no}: {exc}") from exc

@@ -365,14 +365,22 @@ class TypeHierarchy:
             raise HierarchyError(f"{source}: not a serialized hierarchy")
         if data.get("version") != SERIAL_VERSION:
             raise HierarchyError(f"{source}: unsupported version {data.get('version')!r}")
-        try:
-            types = [str(t) for t in data["types"]]
-            links = [(str(c), str(p), str(k)) for c, p, k in data["links"]]
-            stored = data.get("ancestors")
-            if stored is not None:
-                stored = [list(map(int, a)) for a in stored]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise HierarchyError(f"{source}: malformed hierarchy payload: {exc}") from exc
+        types, links, stored = data.get("types"), data.get("links"), data.get("ancestors")
+        if not (isinstance(types, list) and all(isinstance(t, str) for t in types)):
+            raise HierarchyError(f"{source}: malformed hierarchy payload: 'types' must be a list "
+                                 "of strings")
+        if not isinstance(links, list):
+            raise HierarchyError(f"{source}: malformed hierarchy payload: 'links' must be a list")
+        for i, link in enumerate(links):
+            # an in-memory payload may hold tuples
+            if not (isinstance(link, (list, tuple)) and len(link) == 3
+                    and all(isinstance(s, str) for s in link)):
+                raise HierarchyError(f"{source}: link {i}: must be a list of three strings, got {link!r}")
+        # bool is a subclass of int, so compare types exactly
+        if stored is not None and not (isinstance(stored, list) and all(
+                isinstance(a, list) and all(type(v) is int for v in a) for a in stored)):
+            raise HierarchyError(f"{source}: malformed hierarchy payload: 'ancestors' must be a list "
+                                 "of lists of integers")
         h = cls(links, source=source, name_order=types)
         if stored is not None:
             recomputed = [list(a) for a in h._ancestors]

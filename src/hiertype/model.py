@@ -36,14 +36,17 @@ is the hinge max(0, margin - E).  Bilinear: score = log sigma(x' A y),
 penalty = -log(1 - sigma).  Dot: bilinear with A fixed to identity.
 Penalties are always >= 0 and are added to losses for negative pairs.
 
-``score_all_types`` and ``rank_types`` score one vector m of shape (d,)
-into (N,) scores, or a batch (B, d) into (B, N).  The order energy
-(Vendrov et al. 2016) has one kernel, ``order_grid``, shared by scoring
-(forward only) and the training grid (forward plus fused backward).  It
-splits the N types into ORDER_LANES contiguous lanes of whole ORDER_CHUNK
-chunks, and a lane walks the batch in tiles of ORDER_TILE rows through its
-own (ORDER_TILE, ORDER_CHUNK, d) buffer, which stays in L2; there is never
-a (B, N, d) array.  The lanes run on min(ORDER_LANES, usable CPUs) pool
+``membership_grid`` is the one scorer kernel and the only place that
+branches on the kind.  Ranking calls it for (B, N) scores, through
+``score_all_types`` and ``rank_types``, which take one vector m of shape
+(d,) or a batch (B, d).  The typing and structure losses call it with
+positive and negative masks for the loss sum, its gradients and its kink
+pattern.  The order energy (Vendrov et al. 2016) is computed by
+``order_grid``, forward only or with its fused backward.  It splits the
+N types into ORDER_LANES contiguous lanes of whole ORDER_CHUNK chunks, and
+a lane walks the batch in tiles of ORDER_TILE rows through its own
+(ORDER_TILE, ORDER_CHUNK, d) buffer, which stays in L2; there is never a
+(B, N, d) array.  The lanes run on min(ORDER_LANES, usable CPUs) pool
 threads, or one after another on one CPU.  Energies, and so rankings and
 MAP, are bit-identical to a serial walk, and no gradient bit depends on
 the CPU count.  Bilinear scores are associated as (m @ A) @ T', so no
@@ -486,6 +489,71 @@ def order_grid(
     return energy, d_x, d_y
 
 
+def membership_grid(
+    kind: ScoreKind,
+    x: np.ndarray,
+    y: np.ndarray,
+    matrix: np.ndarray | None = None,
+    pos: np.ndarray | None = None,
+    neg: np.ndarray | None = None,
+    margin: float = 1.0,
+    *,
+    grads: bool = True,
+    pattern: bool = False,
+):
+    """The one membership scorer: every row of x (B, d) against every row
+    of y (N, d), for ranking and for both training losses; ``matrix`` is
+    the bilinear A.
+
+    Without masks it returns the (B, N) scores.  With boolean (B, N) masks
+    ``pos`` and ``neg`` it returns ``(loss_sum, d_x, d_y, d_a, parts)``:
+    the sum of -score over pos pairs plus the penalty over neg pairs; the
+    gradients of that sum with respect to x, y and A (all None unless
+    ``grads``, and d_a None unless the kind is bilinear); and the list of
+    kink-pattern bytes, empty unless ``pattern``."""
+    if kind is ScoreKind.ORDER:
+        if pos is None:
+            scores = order_grid(x, y)[0]
+            return np.negative(scores, out=scores)
+        if margin <= 0:
+            raise ModelError(f"order margin must be positive, got {margin!r}")
+        energy, d_x, d_y = order_grid(x, y, pos, neg, margin) if grads else order_grid(x, y)
+        loss_sum = float((energy * pos).sum() + (np.maximum(margin - energy, 0.0) * neg).sum())
+        parts = []
+        if pattern:
+            # the rectifier max(0, y - x) is positive exactly where y > x
+            rect_on = (y[None] > x[:, None]) & (pos | neg)[:, :, None]
+            parts = [np.packbits(rect_on).tobytes(), np.packbits((energy < margin) & neg).tobytes()]
+        return loss_sum, d_x, d_y, None, parts
+
+    if kind is ScoreKind.BILINEAR:
+        if matrix is None:
+            raise ModelError("bilinear scoring requires a matrix")
+        xa = x @ matrix
+    else:
+        xa = x
+    # every GEMM below is B x d x N or B x d x d; none is N x d x d
+    logits = xa @ y.T
+    if pos is None:
+        return log_sigmoid(logits)
+    s = sigmoid(logits)
+    pos_terms = -log_sigmoid(logits)
+    neg_terms = neg_log_one_minus_sigmoid(logits)
+    capped = neg_terms >= SATURATED_PENALTY
+    loss_sum = float((pos_terms * pos).sum() + (neg_terms * neg).sum())
+    parts = [np.packbits(capped & neg).tobytes()] if pattern else []
+    if not grads:
+        return loss_sum, None, None, None, parts
+    # d(-log sigma)/du = sigma - 1; d(-log(1-sigma))/du = sigma, but exactly 0
+    # where the cap binds (the implemented loss is locally constant there)
+    d_logits = np.where(pos, s - 1.0, 0.0) + np.where(neg & ~capped, s, 0.0)
+    dly = d_logits @ y
+    d_y = d_logits.T @ xa
+    if kind is ScoreKind.BILINEAR:
+        return loss_sum, dly @ matrix.T, d_y, x.T @ dly, parts
+    return loss_sum, dly, d_y, None, parts
+
+
 def score_all_types(
     kind: ScoreKind,
     m: np.ndarray,
@@ -495,19 +563,9 @@ def score_all_types(
     """Membership scores against every type row: shape (N,) for one vector
     m of shape (d,), and (B, N) for a batch of shape (B, d)."""
     m = np.asarray(m, dtype=np.float64)
-    T = np.asarray(type_emb, dtype=np.float64)
     if m.ndim not in (1, 2):
         raise ModelError(f"mention vectors must be (d,) or (B, d), got {m.shape}")
-    x = np.atleast_2d(m)
-    if kind is ScoreKind.ORDER:
-        scores = order_grid(x, T)[0]
-        np.negative(scores, out=scores)
-    elif kind is ScoreKind.BILINEAR:
-        if bilinear is None:
-            raise ModelError("bilinear scoring requires a matrix")
-        scores = log_sigmoid((x @ bilinear) @ T.T)
-    else:
-        scores = log_sigmoid(x @ T.T)
+    scores = membership_grid(kind, np.atleast_2d(m), np.asarray(type_emb, dtype=np.float64), bilinear)
     return scores if m.ndim == 2 else scores[0]
 
 

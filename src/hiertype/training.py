@@ -12,7 +12,10 @@ never sampled.  The combined objective is typing + structure_weight *
 structure, and one structure batch is consumed after every typing batch.
 
 ``loss`` is the single entry point for that objective: it returns the
-loss value and, on request, its gradients and its kink pattern.
+loss value and, on request, its gradients and its kink pattern.  Both
+terms take one routing path: a call to ``model.membership_grid`` with the
+term's masks, whose type-row and matrix gradients are scaled into the
+named tensors; the structure term first folds its d_x into its own rows.
 Gradients are derived by hand and computed with plain numpy in float64.
 ``finite_difference_check`` provides the independent verification route:
 central differences with an activation-pattern guard.  With
@@ -38,20 +41,15 @@ from .errors import HiertypeError, located_decode_errors
 from .evaluation import evaluate_model
 from .hierarchy import TypeHierarchy
 from .model import (
-    SATURATED_PENALTY,
     Checkpoint,
     DropoutMasks,
     EncoderCache,
     EncoderMode,
-    ModelError,
     ModelParams,
     ScoreKind,
     encode_vectors_cached,
-    log_sigmoid,
-    neg_log_one_minus_sigmoid,
-    order_grid,
+    membership_grid,
     sample_dropout_masks,
-    sigmoid,
     _tensor_shapes,
 )
 
@@ -323,71 +321,7 @@ def structure_pool(hierarchy: TypeHierarchy) -> list[StructurePair]:
 
 
 # ----------------------------------------------------------------------
-# the membership grid: shared forward/backward for typing and structure
-
-
-@dataclass
-class _GridResult:
-    loss_sum: float
-    d_x: np.ndarray | None
-    d_y: np.ndarray | None
-    d_a: np.ndarray | None
-    pattern: list[bytes]
-
-
-def _membership_grid(
-    kind: ScoreKind,
-    x: np.ndarray,
-    y: np.ndarray,
-    bilinear: np.ndarray | None,
-    margin: float,
-    pos: np.ndarray,
-    neg: np.ndarray,
-    want_grads: bool,
-    want_pattern: bool,
-) -> _GridResult:
-    """Sum of -score over pos pairs plus penalty over neg pairs, with the
-    gradients d/dx, d/dy, d/dA of that unnormalized sum and, on request,
-    the kink-pattern bytes."""
-    pattern: list[bytes] = []
-    if kind is ScoreKind.ORDER:
-        if margin <= 0:
-            raise ModelError(f"order margin must be positive, got {margin!r}")
-        masks = (pos, neg, margin) if want_grads else ()
-        energy, d_x, d_y = order_grid(x, y, *masks)
-        hinge_active = energy < margin
-        loss_sum = float((energy * pos).sum() + (np.maximum(margin - energy, 0.0) * neg).sum())
-        if want_pattern:
-            # the rectifier max(0, y - x) is positive exactly where y > x
-            rect_on = (y[None] > x[:, None]) & (pos | neg)[:, :, None]
-            pattern = [np.packbits(rect_on).tobytes(), np.packbits(hinge_active & neg).tobytes()]
-        return _GridResult(loss_sum, d_x, d_y, None, pattern)
-
-    if kind is ScoreKind.BILINEAR:
-        if bilinear is None:
-            raise ModelError("bilinear scoring requires a matrix")
-        xa = x @ bilinear
-    else:
-        xa = x
-    # every GEMM below is B x d x N or B x d x d; none is N x d x d
-    logits = xa @ y.T
-    s = sigmoid(logits)
-    pos_terms = -log_sigmoid(logits)
-    neg_terms = neg_log_one_minus_sigmoid(logits)
-    capped = neg_terms >= SATURATED_PENALTY
-    loss_sum = float((pos_terms * pos).sum() + (neg_terms * neg).sum())
-    if want_pattern:
-        pattern = [np.packbits(capped & neg).tobytes()]
-    if not want_grads:
-        return _GridResult(loss_sum, None, None, None, pattern)
-    # d(-log sigma)/du = sigma - 1; d(-log(1-sigma))/du = sigma, but exactly 0
-    # where the cap binds (the implemented loss is locally constant there)
-    d_logits = np.where(pos, s - 1.0, 0.0) + np.where(neg & ~capped, s, 0.0)
-    dly = d_logits @ y
-    d_y = d_logits.T @ xa
-    if kind is ScoreKind.BILINEAR:
-        return _GridResult(loss_sum, dly @ bilinear.T, d_y, x.T @ dly, pattern)
-    return _GridResult(loss_sum, dly, d_y, None, pattern)
+# the loss
 
 
 def _encoder_pattern(cache: EncoderCache) -> list[bytes]:
@@ -447,52 +381,6 @@ def _structure_masks(
     return idx, pos, neg
 
 
-def _typing_loss(
-    typing: Sequence[PreparedMention],
-    params: ModelParams,
-    config: TrainConfig,
-    masks: DropoutMasks | None,
-    grads: dict[str, np.ndarray] | None,
-    parts: list[bytes] | None,
-) -> float:
-    """Mean typing loss of one batch.  Adds its gradients into ``grads`` and
-    its kink pattern to ``parts`` when they are given.  The encoder cache
-    and the typing grid are freed on return, before the structure grid
-    allocates its larger buffer."""
-    t_emb = params.type_emb
-    n_types = t_emb.shape[0]
-    m_count = len(typing)
-    if m_count == 0:
-        raise TrainingError("empty typing batch")
-    for pm in typing:
-        if not pm.gold:
-            raise TrainingError("mention with empty gold set")
-        if max(pm.gold) >= n_types or min(pm.gold) < 0:
-            raise TrainingError("gold type index out of range")
-    cache = encode_vectors_cached(params, [pm.word_vectors for pm in typing],
-                                  [pm.span for pm in typing], config.encoder_mode, masks)
-    if parts is not None:
-        parts.extend(_encoder_pattern(cache))
-    pos = np.zeros((m_count, n_types), dtype=bool)
-    for i, pm in enumerate(typing):
-        pos[i, list(pm.gold)] = True
-    kind = config.mention_score_kind
-    grid = _membership_grid(
-        kind, cache.out, t_emb,
-        params.bilinear if kind is ScoreKind.BILINEAR else None,
-        config.margin, pos, ~pos, grads is not None, parts is not None,
-    )
-    if parts is not None:
-        parts.extend(grid.pattern)
-    if grads is not None:
-        scale = 1.0 / m_count
-        grads["type_emb"] += scale * grid.d_y
-        if grid.d_a is not None:
-            grads["bilinear"] += scale * grid.d_a
-        _encoder_backward(params, cache, scale * grid.d_x, grads)
-    return grid.loss_sum / m_count
-
-
 def loss(
     typing: Sequence[PreparedMention] | None,
     structure: Sequence[StructurePair] | None,
@@ -513,39 +401,61 @@ def loss(
     Tensors that do not participate (CNN filters in mention-only mode, the
     structure machinery at structure_weight 0) get exact zero gradients.
     """
-    t_emb = params.type_emb
-    n_types = t_emb.shape[0]
+    n_types = params.n_types
     total = 0.0
     out = params.split(np.zeros_like(params.flat)) if grads else None
     parts: list[bytes] = []
 
+    def grid_term(kind, x, matrix_names, pos, neg, scale, rows=None):
+        """One grid term, x against every type row: its unnormalized loss
+        sum and d_x.  A bilinear kind reads the first present tensor of
+        ``matrix_names``.  Adds the pattern to ``parts`` and ``scale``
+        times the type-row and matrix gradients to ``out``; when x holds
+        the type rows ``rows``, d_x is folded into those rows first."""
+        key = next((n for n in matrix_names if getattr(params, n) is not None), None)
+        loss_sum, d_x, d_y, d_a, grid_parts = membership_grid(
+            kind, x, params.type_emb, getattr(params, key) if key else None, pos, neg,
+            config.margin, grads=grads, pattern=pattern)
+        parts.extend(grid_parts)
+        if grads:
+            if rows is not None:
+                np.add.at(d_y, rows, d_x)
+            out["type_emb"] += scale * d_y
+            if d_a is not None:
+                out[key] += scale * d_a
+        return loss_sum, d_x
+
     if typing is not None:
-        total += _typing_loss(typing, params, config, masks, out, parts if pattern else None)
+        if not typing:
+            raise TrainingError("empty typing batch")
+        pos = np.zeros((len(typing), n_types), dtype=bool)
+        for i, pm in enumerate(typing):
+            if not pm.gold:
+                raise TrainingError("mention with empty gold set")
+            if max(pm.gold) >= n_types or min(pm.gold) < 0:
+                raise TrainingError("gold type index out of range")
+            pos[i, list(pm.gold)] = True
+        cache = encode_vectors_cached(params, [pm.word_vectors for pm in typing],
+                                      [pm.span for pm in typing], config.encoder_mode, masks)
+        if pattern:
+            parts.extend(_encoder_pattern(cache))
+        scale = 1.0 / len(typing)
+        loss_sum, d_x = grid_term(config.mention_score_kind, cache.out, ("bilinear",), pos, ~pos,
+                                  scale)
+        total += loss_sum / len(typing)
+        if grads:
+            _encoder_backward(params, cache, scale * d_x, out)
+        # freed before the structure grid allocates its larger buffers
+        del cache, d_x, pos
 
     weight = config.structure_weight
     if structure is not None and weight != 0.0:
-        kind = config.effective_structure_kind()
         idx, pos, neg = _structure_masks(structure, n_types)
-        matrix = None
-        matrix_key = None
-        if kind is ScoreKind.BILINEAR:
-            if params.bilinear_structure is not None:
-                matrix, matrix_key = params.bilinear_structure, "bilinear_structure"
-            elif params.bilinear is not None:
-                matrix, matrix_key = params.bilinear, "bilinear"
-            else:
-                raise ModelError("bilinear structure scoring requires a matrix")
-        grid = _membership_grid(kind, t_emb[idx], t_emb, matrix, config.margin, pos, neg,
-                                grads, pattern)
-        total += weight * grid.loss_sum / len(structure)
-        parts.extend(grid.pattern)
-        if grads:
-            scale = weight / len(structure)
-            d_t = grid.d_y
-            np.add.at(d_t, idx, grid.d_x)  # x rows are views of rows of t_emb
-            out["type_emb"] += scale * d_t
-            if grid.d_a is not None:
-                out[matrix_key] += scale * grid.d_a
+        # x rows are copies of rows of type_emb, so d_x folds back into them
+        loss_sum, _ = grid_term(config.effective_structure_kind(), params.type_emb[idx],
+                                ("bilinear_structure", "bilinear"), pos, neg,
+                                weight / len(structure), rows=idx)
+        total += weight * loss_sum / len(structure)
 
     return float(total), out, b"".join(parts) if pattern else None
 

@@ -125,6 +125,17 @@ def test_stats_names_the_file_and_link_of_a_bad_json_link(tmp_path, capsys):
     assert f"error: {p}: link 0: unknown link kind: 'bogus'" in capsys.readouterr().err
 
 
+def test_stats_rejects_a_types_string(tmp_path, capsys):
+    # "ab" once loaded as the two types 'a' and 'b'
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"format": "hiertype-hierarchy", "version": 1, "types": "ab",
+                             "links": []}), encoding="utf-8")
+    assert main(["stats", "--hierarchy", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {p}: malformed hierarchy payload: 'types' must be a list" in captured.err
+    assert captured.out == ""
+
+
 def test_build_hierarchy_deterministic_and_loadable(tmp_path, capsys):
     links = tmp_path / "links.tsv"
     links.write_text(LINKS, encoding="utf-8")
@@ -219,6 +230,19 @@ def test_label_pipeline(tmp_path, capsys):
     assert set(obj["types"]) == {"cat", "animal"}
 
 
+def test_label_rejects_a_types_string(tmp_path, capsys):
+    # "ab" once labeled the mention with the types 'a' and 'b'
+    links = tmp_path / "links.tsv"
+    links.write_text("a\tb\tchild_of\n", encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"tokens":["x"],"span":[0,0],"types":"ab"}\n', encoding="utf-8")
+    out = tmp_path / "labeled.jsonl"
+    assert main(["label", "--hierarchy", str(links), "--corpus", str(corpus),
+                 "--out", str(out)]) == 2
+    assert f"error: {corpus}:1: types must be a list of strings" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # train / eval / score
 
@@ -310,6 +334,29 @@ def test_train_config_faults_name_their_location(task, tmp_path, capsys, route, 
                  "--train", task["train"], "--dev", task["dev"],
                  "--out", str(tmp_path / "x.ckpt"), *extra]) == 2
     assert f"error: {where}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("items, message", [
+    (["dim=0"], "dim must be positive, got 0"),
+    (["margin=nan"], "margin must be finite, got nan"),
+    (["seed=-1"], "seed must be a non-negative integer, got -1"),
+    (["adam_beta2=1.5"], "adam betas must be in [0, 1)"),
+    (["mention_score_kind=dot", "share_bilinear=true"],
+     "share_bilinear requires bilinear mention and structure scoring"),
+])
+def test_train_config_faults_exit_before_any_data_is_read(tmp_path, capsys, items, message):
+    # every input path is missing, so reading any of them would fail
+    # with another message: the config is validated first
+    config = tmp_path / "empty.cfg"
+    config.write_text("", encoding="utf-8")
+    missing = {name: str(tmp_path / f"missing.{name}") for name in ("links", "jsonl", "emb")}
+    overrides = [arg for item in items for arg in ("--set", item)]
+    assert main(["train", "--config", str(config), "--hierarchy", missing["links"],
+                 "--train", missing["jsonl"], "--dev", missing["jsonl"],
+                 "--embeddings", missing["emb"], "--out", str(tmp_path / "x.ckpt"),
+                 *overrides]) == 2
+    assert capsys.readouterr().err == f"error: --set {items[-1]!r}: {message}\n"
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_train_seed_flag_fault_names_the_flag(task, tmp_path, capsys):

@@ -381,6 +381,23 @@ def test_jsonl_rejects_non_object_and_bad_fields(tmp_path):
             read_corpus(str(p))
 
 
+@pytest.mark.parametrize("field, message", [
+    ('"types":"ab"', "types must be a list of strings, got 'ab'"),
+    ('"types":[1,null]', "types must be a list of strings, got [1, None]"),
+    ('"types":{"a":1}', "types must be a list of strings, got {'a': 1}"),
+    ('"entity_id":null', "entity_id must be a string, got None"),
+])
+def test_jsonl_types_and_entity_id_are_not_coerced(tmp_path, field, message):
+    # a types string was split into one type per character, and a
+    # non-string element or id went through str()
+    p = tmp_path / "corpus.jsonl"
+    p.write_text('{"tokens":["x"],"span":[0,0],"types":["a"]}\n'
+                 f'{{"tokens":["x"],"span":[0,0],{field}}}\n', encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        read_corpus(str(p))
+    assert str(exc.value) == f"{p}:2: {message}"
+
+
 # ----------------------------------------------------------------------
 # distant supervision
 

@@ -330,6 +330,29 @@ def test_bad_payloads_rejected():
             TypeHierarchy.from_dict(data, source="h.json")
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("types", "ab", "malformed hierarchy payload: 'types' must be a list of strings"),
+    ("types", {"a": 1, "b": 2}, "malformed hierarchy payload: 'types' must be a list of strings"),
+    ("types", ["a", 1], "malformed hierarchy payload: 'types' must be a list of strings"),
+    ("links", "ab", "malformed hierarchy payload: 'links' must be a list"),
+    ("links", [["a", "b", "child_of"], "abc"], "link 1: must be a list of three strings"),
+    ("links", [["a", "b"]], "link 0: must be a list of three strings"),
+    ("links", [["a", "b", "child_of", "x"]], "link 0: must be a list of three strings"),
+    ("links", [["a", 1, "child_of"]], "link 0: must be a list of three strings"),
+    ("ancestors", [[1], [True]], "malformed hierarchy payload: 'ancestors' must be a list of lists"),
+    ("ancestors", [[1.0], []], "malformed hierarchy payload: 'ancestors' must be a list of lists"),
+    ("ancestors", [[1], "1"], "malformed hierarchy payload: 'ancestors' must be a list of lists"),
+])
+def test_payload_fields_are_not_coerced(key, value, message):
+    # a types string once loaded as one type per character, and ancestor
+    # values went through int()
+    data = build([("a", "b", "child_of")]).to_dict()
+    data[key] = value
+    with pytest.raises(HierarchyError) as exc:
+        TypeHierarchy.from_dict(data, source="h.json")
+    assert str(exc.value).startswith(f"h.json: {message}")
+
+
 def test_load_sniffs_json_vs_links(tmp_path):
     h = build([("a", "b", "child_of")])
     j = tmp_path / "h.json"

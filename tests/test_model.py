@@ -25,7 +25,8 @@ from hiertype import (
     sigmoid,
     surface_average,
 )
-from hiertype.model import _tensor_shapes, cnn_forward_cached, encode_vectors_cached
+from hiertype.model import (_tensor_shapes, cnn_forward_cached, encode_vectors_cached,
+                            membership_grid)
 
 import oracles
 from generators import (encoder_tensors, random_encoder, random_model, random_sentence,
@@ -470,6 +471,24 @@ def test_score_all_types_matches_pairwise():
         for i in range(6):
             assert rows[i] == pytest.approx(-oracles.positive_term(kind.value, m, T[i], mat),
                                             abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ScoreKind))
+def test_membership_grid_scores_and_loss_agree(kind):
+    # ranking and training read one kernel: its forward scores are what
+    # score_all_types returns, and the masked loss is built from them
+    rng = np.random.default_rng(17)
+    x, y = rng.normal(scale=0.8, size=(5, 4)), rng.normal(scale=0.8, size=(9, 4))
+    A = rng.normal(size=(4, 4)) if kind is ScoreKind.BILINEAR else None
+    pos = rng.random((5, 9)) < 0.3
+    neg = ~pos & (rng.random((5, 9)) < 0.8)
+    margin = 0.7
+    scores = membership_grid(kind, x, y, A)
+    assert np.array_equal(score_all_types(kind, x, y, A), scores)
+    loss_sum = membership_grid(kind, x, y, A, pos, neg, margin, grads=False)[0]
+    want = -scores[pos].sum() + sum(oracles.negative_term(kind.value, x[b], y[n], A, margin)
+                                    for b, n in zip(*np.nonzero(neg)))
+    assert loss_sum == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 def test_scores_match_scalar_oracle():

@@ -33,8 +33,7 @@ from hiertype import (
     write_history,
 )
 from hiertype import model, training
-from hiertype.training import (EpochMetrics, PreparedMention, _membership_grid,
-                               _sample_structure_batch)
+from hiertype.training import EpochMetrics, PreparedMention, _sample_structure_batch
 
 import oracles
 import synthtask
@@ -688,15 +687,17 @@ def test_order_grid_chunks_match_one_chunk(monkeypatch):
     monkeypatch.setattr(model, "ORDER_TILE", 3)
     monkeypatch.setattr(model, "ORDER_LANES", 2)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-    split = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    split_loss, split_dx, split_dy, _, split_pattern = model.membership_grid(
+        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
     split_scores = model.score_all_types(ScoreKind.ORDER, x, y)
     _one_walk(monkeypatch, 7, 12)
-    whole = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
-    assert split.loss_sum == whole.loss_sum
-    assert np.allclose(split.d_y, whole.d_y, rtol=0.0, atol=1e-12)
-    assert np.allclose(split.d_x, whole.d_x, rtol=0.0, atol=1e-12)
+    whole_loss, whole_dx, whole_dy, _, whole_pattern = model.membership_grid(
+        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
+    assert split_loss == whole_loss
+    assert np.allclose(split_dy, whole_dy, rtol=0.0, atol=1e-12)
+    assert np.allclose(split_dx, whole_dx, rtol=0.0, atol=1e-12)
     assert np.array_equal(split_scores, model.score_all_types(ScoreKind.ORDER, x, y))
-    assert split.pattern == whole.pattern
+    assert split_pattern == whole_pattern
 
 
 @pytest.mark.parametrize("B", [1, 7, 8, 9, 33])
@@ -708,18 +709,20 @@ def test_order_grid_tiles_and_lanes_match_one_walk(monkeypatch, B, N):
     x, y, pos, neg = _order_case(rng, B, N)
     tiled = model.order_grid(x, y, pos, neg, 1.0)
     tiled_fwd = model.order_grid(x, y)
-    tiled_grid = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    tiled_loss, _, _, _, tiled_pattern = model.membership_grid(
+        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
     tiled_scores = model.score_all_types(ScoreKind.ORDER, x, y)
     _one_walk(monkeypatch, B, N)
     whole = model.order_grid(x, y, pos, neg, 1.0)
-    whole_grid = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, True)
+    whole_loss, _, _, _, whole_pattern = model.membership_grid(
+        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
     assert np.array_equal(tiled[0], whole[0])
     assert np.array_equal(tiled_fwd[0], whole[0]) and tiled_fwd[1:] == (None, None)
     assert np.array_equal(tiled_scores, model.score_all_types(ScoreKind.ORDER, x, y))
     assert np.allclose(tiled[1], whole[1], rtol=0.0, atol=1e-12)
     assert np.allclose(tiled[2], whole[2], rtol=0.0, atol=1e-12)
-    assert tiled_grid.loss_sum == whole_grid.loss_sum
-    assert tiled_grid.pattern == whole_grid.pattern
+    assert tiled_loss == whole_loss
+    assert tiled_pattern == whole_pattern
 
 
 def test_order_grid_matches_the_pairwise_gradient_oracle():
@@ -751,8 +754,9 @@ def test_order_grid_bits_do_not_depend_on_the_worker_count(monkeypatch):
             monkeypatch.setattr(model, "ORDER_LANES", lanes)
             monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
             energy, d_x, d_y = model.order_grid(x, y, pos, neg, 1.0)
-            grid = _membership_grid(ScoreKind.ORDER, x, y, None, 1.0, pos, neg, True, False)
-            runs[lanes, workers] = (energy, d_x, d_y, grid.loss_sum, grid.d_x, grid.d_y)
+            loss_sum, grid_d_x, grid_d_y, _, _ = model.membership_grid(
+                ScoreKind.ORDER, x, y, None, pos, neg, 1.0)
+            runs[lanes, workers] = (energy, d_x, d_y, loss_sum, grid_d_x, grid_d_y)
     finally:
         sys.setswitchinterval(interval)
     for lanes in (2, 4):
@@ -805,15 +809,16 @@ def test_logit_grid_gradients_match_scalar_oracle():
         rows = y.copy()
         v = x[1] @ mat if mat is not None else x[1]
         rows[6] = 40.0 * v / (v @ v)  # logit 40: the capped negative branch
-        grid = _membership_grid(kind, x, rows, mat, 1.0, pos, neg, True, True)
-        assert np.any(np.unpackbits(np.frombuffer(grid.pattern[0], dtype=np.uint8)))
+        _, grid_d_x, grid_d_y, grid_d_a, parts = model.membership_grid(
+            kind, x, rows, mat, pos, neg, 1.0, pattern=True)
+        assert np.any(np.unpackbits(np.frombuffer(parts[0], dtype=np.uint8)))
         d_x, d_y, d_a = oracles.logit_grid_gradients(x, rows, pos, neg, mat)
-        assert np.allclose(grid.d_x, d_x, rtol=0.0, atol=1e-12), kind
-        assert np.allclose(grid.d_y, d_y, rtol=0.0, atol=1e-12), kind
+        assert np.allclose(grid_d_x, d_x, rtol=0.0, atol=1e-12), kind
+        assert np.allclose(grid_d_y, d_y, rtol=0.0, atol=1e-12), kind
         if mat is None:
-            assert grid.d_a is None
+            assert grid_d_a is None
         else:
-            assert np.allclose(grid.d_a, d_a, rtol=0.0, atol=1e-12)
+            assert np.allclose(grid_d_a, d_a, rtol=0.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------
