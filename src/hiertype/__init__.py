@@ -3,8 +3,9 @@
 Core pieces: a validated type DAG with ancestor closure (`TypeHierarchy`),
 distant supervision over mention corpora (`corpus`), a CNN + span-mean
 mention encoder with order/bilinear/dot membership scoring (`model`),
-hand-derived gradients with Adam and finite-difference verification
-(`training`), MAP evaluation (`evaluation`), and a batch CLI (`cli`).
+hand-derived gradients with Adam (`training`), MAP evaluation
+(`evaluation`), and a batch CLI (`cli`).  The finite-difference checker
+that verifies the gradients lives with the tests, in `tests/oracles.py`.
 """
 
 from .corpus import (
@@ -62,14 +63,12 @@ from .training import (
     AdamState,
     ConfigError,
     EpochMetrics,
-    FDReport,
     GradientError,
     TrainConfig,
     TrainResult,
     TrainingError,
     adam_step,
     config_from_strings,
-    finite_difference_check,
     glorot_init,
     init_model,
     load_train_config,

@@ -363,8 +363,9 @@ class TypeHierarchy:
     def from_dict(cls, data: Mapping[str, object], source: str = "<dict>") -> "TypeHierarchy":
         if data.get("format") != SERIAL_FORMAT:
             raise HierarchyError(f"{source}: not a serialized hierarchy")
-        if data.get("version") != SERIAL_VERSION:
-            raise HierarchyError(f"{source}: unsupported version {data.get('version')!r}")
+        version = data.get("version")
+        if type(version) is not int or version != SERIAL_VERSION:  # True == 1.0 == 1
+            raise HierarchyError(f"{source}: unsupported version {version!r}")
         types, links, stored = data.get("types"), data.get("links"), data.get("ancestors")
         if not (isinstance(types, list) and all(isinstance(t, str) for t in types)):
             raise HierarchyError(f"{source}: malformed hierarchy payload: 'types' must be a list "

@@ -40,8 +40,8 @@ Penalties are always >= 0 and are added to losses for negative pairs.
 branches on the kind.  Ranking calls it for (B, N) scores, through
 ``score_all_types`` and ``rank_types``, which take one vector m of shape
 (d,) or a batch (B, d).  The typing and structure losses call it with
-positive and negative masks for the loss sum, its gradients and its kink
-pattern.  The order energy (Vendrov et al. 2016) is computed by
+positive and negative masks for the loss sum and its gradients.  The
+order energy (Vendrov et al. 2016) is computed by
 ``order_grid``, forward only or with its fused backward.  It splits the
 N types into ORDER_LANES contiguous lanes of whole ORDER_CHUNK chunks, and
 a lane walks the batch in tiles of ORDER_TILE rows through its own
@@ -499,18 +499,16 @@ def membership_grid(
     margin: float = 1.0,
     *,
     grads: bool = True,
-    pattern: bool = False,
 ):
     """The one membership scorer: every row of x (B, d) against every row
     of y (N, d), for ranking and for both training losses; ``matrix`` is
     the bilinear A.
 
     Without masks it returns the (B, N) scores.  With boolean (B, N) masks
-    ``pos`` and ``neg`` it returns ``(loss_sum, d_x, d_y, d_a, parts)``:
-    the sum of -score over pos pairs plus the penalty over neg pairs; the
-    gradients of that sum with respect to x, y and A (all None unless
-    ``grads``, and d_a None unless the kind is bilinear); and the list of
-    kink-pattern bytes, empty unless ``pattern``."""
+    ``pos`` and ``neg`` it returns ``(loss_sum, d_x, d_y, d_a)``: the sum
+    of -score over pos pairs plus the penalty over neg pairs, and its
+    gradients with respect to x, y and A (all None unless ``grads``, and
+    d_a None unless the kind is bilinear)."""
     if kind is ScoreKind.ORDER:
         if pos is None:
             scores = order_grid(x, y)[0]
@@ -519,12 +517,7 @@ def membership_grid(
             raise ModelError(f"order margin must be positive, got {margin!r}")
         energy, d_x, d_y = order_grid(x, y, pos, neg, margin) if grads else order_grid(x, y)
         loss_sum = float((energy * pos).sum() + (np.maximum(margin - energy, 0.0) * neg).sum())
-        parts = []
-        if pattern:
-            # the rectifier max(0, y - x) is positive exactly where y > x
-            rect_on = (y[None] > x[:, None]) & (pos | neg)[:, :, None]
-            parts = [np.packbits(rect_on).tobytes(), np.packbits((energy < margin) & neg).tobytes()]
-        return loss_sum, d_x, d_y, None, parts
+        return loss_sum, d_x, d_y, None
 
     if kind is ScoreKind.BILINEAR:
         if matrix is None:
@@ -541,17 +534,16 @@ def membership_grid(
     neg_terms = neg_log_one_minus_sigmoid(logits)
     capped = neg_terms >= SATURATED_PENALTY
     loss_sum = float((pos_terms * pos).sum() + (neg_terms * neg).sum())
-    parts = [np.packbits(capped & neg).tobytes()] if pattern else []
     if not grads:
-        return loss_sum, None, None, None, parts
+        return loss_sum, None, None, None
     # d(-log sigma)/du = sigma - 1; d(-log(1-sigma))/du = sigma, but exactly 0
     # where the cap binds (the implemented loss is locally constant there)
     d_logits = np.where(pos, s - 1.0, 0.0) + np.where(neg & ~capped, s, 0.0)
     dly = d_logits @ y
     d_y = d_logits.T @ xa
     if kind is ScoreKind.BILINEAR:
-        return loss_sum, dly @ matrix.T, d_y, x.T @ dly, parts
-    return loss_sum, dly, d_y, None, parts
+        return loss_sum, dly @ matrix.T, d_y, x.T @ dly
+    return loss_sum, dly, d_y, None
 
 
 def score_all_types(
@@ -654,8 +646,9 @@ def _checked_header(path: str, line: bytes) -> tuple[dict, list]:
         raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    if header.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
     specs = header.get("tensors")
     if not isinstance(specs, list) or not all(
         isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)

@@ -12,19 +12,14 @@ never sampled.  The combined objective is typing + structure_weight *
 structure, and one structure batch is consumed after every typing batch.
 
 ``loss`` is the single entry point for that objective: it returns the
-loss value and, on request, its gradients and its kink pattern.  Both
-terms take one routing path: a call to ``model.membership_grid`` with the
-term's masks, whose type-row and matrix gradients are scaled into the
-named tensors; the structure term first folds its d_x into its own rows.
-Gradients are derived by hand and computed with plain numpy in float64.
-``finite_difference_check`` provides the independent verification route:
-central differences with an activation-pattern guard.  With
-``pattern=True`` a loss evaluation also produces a byte pattern encoding
-its ReLU masks, max-pool argmax indices, order-rectifier signs,
-hinge-active bits, and sigmoid-clamp bits; a coordinate is compared only
-when the pattern at theta, theta+eps, and theta-eps is identical, which
-excludes coordinates sitting on a kink of the piecewise-smooth loss.
-Training never asks for the pattern.
+loss value and, on request, its gradients.  Both terms take one routing
+path: a call to ``model.membership_grid`` with the term's masks, whose
+type-row and matrix gradients are scaled into the named tensors; the
+structure term first folds its d_x into its own rows.  Gradients are
+derived by hand and computed with plain numpy in float64.  The tests
+verify them by central differences (``tests/oracles.py``), comparing a
+coordinate only where the loss's kink bits, rebuilt there from forward
+quantities, are the same at theta and theta +/- epsilon.
 """
 
 from __future__ import annotations
@@ -324,14 +319,6 @@ def structure_pool(hierarchy: TypeHierarchy) -> list[StructurePair]:
 # the loss
 
 
-def _encoder_pattern(cache: EncoderCache) -> list[bytes]:
-    parts = [np.packbits(cache.hidden_active).tobytes()]
-    if cache.cnn is not None:
-        parts.append(np.packbits(cache.cnn.active).tobytes())
-        parts.append(cache.cnn.rows.astype("<i8").tobytes())
-    return parts
-
-
 def _encoder_backward(
     p: ModelParams,
     cache: EncoderCache,
@@ -389,34 +376,30 @@ def loss(
     masks: DropoutMasks | None = None,
     *,
     grads: bool = False,
-    pattern: bool = False,
-) -> tuple[float, dict[str, np.ndarray] | None, bytes | None]:
+) -> tuple[float, dict[str, np.ndarray] | None]:
     """The combined objective typing + structure_weight * structure.
 
-    This is the one entry point for the loss value, its exact analytic
-    gradients for every tensor (``grads=True``), and the kink-pattern
-    bytes the finite-difference checker compares (``pattern=True``); it
-    returns ``(loss, grads or None, pattern or None)``.  Either batch may
-    be None, and the structure batch is ignored at structure_weight 0.
+    This is the one entry point for the loss value and its exact analytic
+    gradients for every tensor (``grads=True``); it returns ``(loss, grads
+    or None)``.  Either batch may be None, and the structure batch is
+    ignored at structure_weight 0.
     Tensors that do not participate (CNN filters in mention-only mode, the
     structure machinery at structure_weight 0) get exact zero gradients.
     """
     n_types = params.n_types
     total = 0.0
     out = params.split(np.zeros_like(params.flat)) if grads else None
-    parts: list[bytes] = []
 
     def grid_term(kind, x, matrix_names, pos, neg, scale, rows=None):
         """One grid term, x against every type row: its unnormalized loss
         sum and d_x.  A bilinear kind reads the first present tensor of
-        ``matrix_names``.  Adds the pattern to ``parts`` and ``scale``
-        times the type-row and matrix gradients to ``out``; when x holds
-        the type rows ``rows``, d_x is folded into those rows first."""
+        ``matrix_names``.  Adds ``scale`` times the type-row and matrix
+        gradients to ``out``; when x holds the type rows ``rows``, d_x is
+        folded into those rows first."""
         key = next((n for n in matrix_names if getattr(params, n) is not None), None)
-        loss_sum, d_x, d_y, d_a, grid_parts = membership_grid(
+        loss_sum, d_x, d_y, d_a = membership_grid(
             kind, x, params.type_emb, getattr(params, key) if key else None, pos, neg,
-            config.margin, grads=grads, pattern=pattern)
-        parts.extend(grid_parts)
+            config.margin, grads=grads)
         if grads:
             if rows is not None:
                 np.add.at(d_y, rows, d_x)
@@ -437,8 +420,6 @@ def loss(
             pos[i, list(pm.gold)] = True
         cache = encode_vectors_cached(params, [pm.word_vectors for pm in typing],
                                       [pm.span for pm in typing], config.encoder_mode, masks)
-        if pattern:
-            parts.extend(_encoder_pattern(cache))
         scale = 1.0 / len(typing)
         loss_sum, d_x = grid_term(config.mention_score_kind, cache.out, ("bilinear",), pos, ~pos,
                                   scale)
@@ -457,69 +438,7 @@ def loss(
                                 weight / len(structure), rows=idx)
         total += weight * loss_sum / len(structure)
 
-    return float(total), out, b"".join(parts) if pattern else None
-
-
-# ----------------------------------------------------------------------
-# finite differences
-
-
-@dataclass
-class FDReport:
-    max_rel_error: float
-    checked: int
-    skipped: int
-    worst: tuple[str, int, float, float] | None  # tensor, flat index, analytic, numeric
-
-
-def finite_difference_check(
-    loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, bytes]],
-    params: Mapping[str, np.ndarray],
-    analytic: Mapping[str, np.ndarray],
-    *,
-    epsilon: float = 1e-5,
-) -> FDReport:
-    """Central-difference check of analytic gradients, skipping kinks.
-
-    ``loss_fn`` must be deterministic and return (loss, pattern bytes); a
-    coordinate is skipped unless the pattern at theta and theta +/- epsilon
-    matches the base pattern exactly.  The error measure is
-    |analytic - numeric| / max(1, |analytic|, |numeric|), so large
-    gradients are compared relatively and small ones absolutely.
-    """
-    if not 1e-7 <= epsilon <= 1e-3:
-        raise TrainingError(f"epsilon must be in [1e-7, 1e-3], got {epsilon!r}")
-    params = dict(params)
-    base_loss, base_pattern = loss_fn(params)
-    if not math.isfinite(base_loss):
-        raise TrainingError("loss is not finite at the base point")
-    max_rel = 0.0
-    worst = None
-    checked = 0
-    skipped = 0
-    for name, theta in params.items():
-        grad_flat = np.asarray(analytic[name]).reshape(-1)
-        flat = theta.reshape(-1)
-        for c in range(flat.size):
-            saved = flat[c]
-            flat[c] = saved + epsilon
-            loss_hi, pat_hi = loss_fn(params)
-            flat[c] = saved - epsilon
-            loss_lo, pat_lo = loss_fn(params)
-            flat[c] = saved
-            if pat_hi != base_pattern or pat_lo != base_pattern:
-                skipped += 1
-                continue
-            if not (math.isfinite(loss_hi) and math.isfinite(loss_lo)):
-                raise TrainingError(f"loss is not finite near {name!r}[{c}]")
-            numeric = (loss_hi - loss_lo) / (2.0 * epsilon)
-            ana = float(grad_flat[c])
-            rel = abs(ana - numeric) / max(1.0, abs(ana), abs(numeric))
-            checked += 1
-            if rel > max_rel:
-                max_rel = rel
-                worst = (name, c, ana, numeric)
-    return FDReport(max_rel_error=max_rel, checked=checked, skipped=skipped, worst=worst)
+    return float(total), out
 
 
 # ----------------------------------------------------------------------
@@ -660,7 +579,7 @@ def train(
             sbatch = None
             if config.structure_weight > 0:
                 sbatch = _sample_structure_batch(pool, config.structure_batch_size, struct_rng)
-            value, grads, _ = loss(prepared, sbatch, params, config, masks, grads=True)
+            value, grads = loss(prepared, sbatch, params, config, masks, grads=True)
             adam_step(
                 tensors, grads, state,
                 lr=config.learning_rate,

@@ -5,19 +5,25 @@ route: scalar Python loops instead of vectorized numpy, breadth-first
 reachability instead of the collapsed-class closure DP, per-rank
 recomputation instead of a cumulative pass, set inclusion instead of
 conditional-frequency counting, and the training loop's step protocol
-spelled out around the package's own loss.  Tests compare the two routes;
-nothing in the package imports this module.
+spelled out around the package's own loss.  The hand-derived gradients are
+checked by central differences (``finite_difference_check``), guarded by
+kink bits rebuilt from the loss's forward quantities (``kink_pattern``)
+rather than taken from the kernels under test.  Tests compare the two
+routes; nothing in the package imports this module.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
-from hiertype import (DropoutMasks, batch_iter, evaluate_model, init_model, loss,
-                      prepare_typing_batch)
+from hiertype import (DropoutMasks, ScoreKind, TrainingError, batch_iter, evaluate_model,
+                      init_model, loss, prepare_typing_batch)
+from hiertype import model, training
 
 SIGMOID_CLAMP = 1e-12
 
@@ -448,8 +454,8 @@ def train_trajectory(train_examples, dev_examples, hierarchy, emb, config):
                                                replace=False)
                     sample = [pool[int(i)] for i in picked]
             params.flat[:] = p
-            value, grads, _ = loss(prepare_typing_batch(batch, emb), sample, params, config,
-                                   masks, grads=True)
+            value, grads = loss(prepare_typing_batch(batch, emb), sample, params, config, masks,
+                                grads=True)
             g = [x for name in names for x in grads[name].ravel().tolist()]
             adam_scalar(p, g, m, v, len(steps) + 1, lr=config.learning_rate,
                         beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
@@ -464,3 +470,130 @@ def train_trajectory(train_examples, dev_examples, hierarchy, emb, config):
         elif epoch - best_epoch >= config.patience:
             break
     return steps, history, best_epoch, best
+
+
+# ----------------------------------------------------------------------
+# finite differences and the kink pattern
+
+
+@dataclass
+class FDReport:
+    max_rel_error: float
+    checked: int
+    skipped: int
+    worst: tuple[str, int, float, float] | None  # tensor, flat index, analytic, numeric
+
+
+def finite_difference_check(
+    loss_fn: Callable[[dict[str, np.ndarray]], tuple[float, bytes]],
+    params: Mapping[str, np.ndarray],
+    analytic: Mapping[str, np.ndarray],
+    *,
+    epsilon: float = 1e-5,
+) -> FDReport:
+    """Central-difference check of analytic gradients, skipping kinks.
+
+    ``loss_fn`` must be deterministic and return (loss, pattern bytes); a
+    coordinate is skipped unless the pattern at theta and theta +/- epsilon
+    matches the base pattern exactly.  The error measure is
+    |analytic - numeric| / max(1, |analytic|, |numeric|), so large
+    gradients are compared relatively and small ones absolutely.
+    """
+    if not 1e-7 <= epsilon <= 1e-3:
+        raise TrainingError(f"epsilon must be in [1e-7, 1e-3], got {epsilon!r}")
+    params = dict(params)
+    base_loss, base_pattern = loss_fn(params)
+    if not math.isfinite(base_loss):
+        raise TrainingError("loss is not finite at the base point")
+    max_rel = 0.0
+    worst = None
+    checked = 0
+    skipped = 0
+    for name, theta in params.items():
+        grad_flat = np.asarray(analytic[name]).reshape(-1)
+        flat = theta.reshape(-1)
+        for c in range(flat.size):
+            saved = flat[c]
+            flat[c] = saved + epsilon
+            loss_hi, pat_hi = loss_fn(params)
+            flat[c] = saved - epsilon
+            loss_lo, pat_lo = loss_fn(params)
+            flat[c] = saved
+            if pat_hi != base_pattern or pat_lo != base_pattern:
+                skipped += 1
+                continue
+            if not (math.isfinite(loss_hi) and math.isfinite(loss_lo)):
+                raise TrainingError(f"loss is not finite near {name!r}[{c}]")
+            numeric = (loss_hi - loss_lo) / (2.0 * epsilon)
+            ana = float(grad_flat[c])
+            rel = abs(ana - numeric) / max(1.0, abs(ana), abs(numeric))
+            checked += 1
+            if rel > max_rel:
+                max_rel = rel
+                worst = (name, c, ana, numeric)
+    return FDReport(max_rel_error=max_rel, checked=checked, skipped=skipped, worst=worst)
+
+
+def capped_negatives(x, y, matrix, neg) -> np.ndarray:
+    """The (B, N) neg pairs whose -log(1 - sigma) penalty is at the cap, for
+    the logits (x @ matrix) @ y' (x @ y' when matrix is None); the loss is
+    flat there, so its gradient is 0."""
+    logits = (x if matrix is None else x @ matrix) @ y.T
+    return (model.neg_log_one_minus_sigmoid(logits) >= model.SATURATED_PENALTY) & neg
+
+
+def kink_pattern(typing, structure, params, config, masks=None) -> bytes:
+    """The kink bits of ``training.loss(typing, structure, params, config,
+    masks)``, rebuilt from its public forward quantities.
+
+    With a typing batch: the hidden ReLU signs, then (CNN mode) the CNN
+    ReLU signs and max-pool rows from ``encode_vectors_cached``.  Then per
+    grid term, typing before structure: for order, the rectifier bits
+    y > x over the masked pairs and the active hinges E < margin over the
+    negatives, with E from the forward-only ``membership_grid``; for
+    bilinear and dot, ``capped_negatives``.  A bilinear term reads the
+    matrix ``loss`` reads: ``bilinear`` for typing; ``bilinear_structure``,
+    else ``bilinear``, for structure."""
+    parts = []
+    y = params.type_emb
+
+    def grid_kinks(kind, x, matrix_names, pos, neg):
+        if kind is ScoreKind.ORDER:
+            rectified = (y[None] > x[:, None]) & (pos | neg)[:, :, None]
+            energy = -model.membership_grid(kind, x, y)
+            parts.extend(np.packbits(bits).tobytes()
+                         for bits in (rectified, (energy < config.margin) & neg))
+            return
+        matrix = None
+        if kind is ScoreKind.BILINEAR:
+            matrix = next(getattr(params, n) for n in matrix_names
+                          if getattr(params, n) is not None)
+        parts.append(np.packbits(capped_negatives(x, y, matrix, neg)).tobytes())
+
+    if typing is not None:
+        cache = model.encode_vectors_cached(params, [pm.word_vectors for pm in typing],
+                                            [pm.span for pm in typing], config.encoder_mode,
+                                            masks)
+        parts.append(np.packbits(cache.hidden_active).tobytes())
+        if cache.cnn is not None:
+            parts += [np.packbits(cache.cnn.active).tobytes(),
+                      cache.cnn.rows.astype("<i8").tobytes()]
+        pos = np.zeros((len(typing), params.n_types), dtype=bool)
+        for i, pm in enumerate(typing):
+            pos[i, list(pm.gold)] = True
+        grid_kinks(config.mention_score_kind, cache.out, ("bilinear",), pos, ~pos)
+    if structure is not None and config.structure_weight != 0.0:
+        idx, pos, neg = training._structure_masks(structure, params.n_types)
+        grid_kinks(config.effective_structure_kind(), y[idx],
+                   ("bilinear_structure", "bilinear"), pos, neg)
+    return b"".join(parts)
+
+
+def kinked_loss(typing, structure, params, config, masks=None):
+    """A ``finite_difference_check`` loss function for ``training.loss`` at
+    ``params``: the checker perturbs the views of ``params.tensors()`` in
+    place, and each call returns the loss and its ``kink_pattern``."""
+    def loss_fn(_tensors):
+        return (loss(typing, structure, params, config, masks)[0],
+                kink_pattern(typing, structure, params, config, masks))
+    return loss_fn

@@ -73,7 +73,7 @@ def test_loss_encodes_through_the_training_module_global(monkeypatch):
     batch = [PreparedMention(word_vectors=rng.normal(size=(4, 3)), span=(1, 2), gold=(0,))
              for _ in range(3)]
     cfg = TrainConfig(dim=3, filter_width=3, mention_score_kind=ScoreKind.DOT)
-    value, _, _ = loss(batch, None, params, cfg)
+    value, _ = loss(batch, None, params, cfg)
     assert len(calls) == 1
     assert np.isfinite(value)
 

@@ -1,4 +1,7 @@
+import ast
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,24 @@ import synthtask
 
 LINKS = "cat\tanimal\tchild_of\ncar\tthing\tchild_of\n"
 STATS_LINE = "type_count=4 max_depth=2 mean_depth=1.5 links_child_of=2"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; test-only modules stay out of src/
+    repo = Path(__file__).resolve().parents[1]
+    for path in sorted((repo / "src" / "hiertype").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names or root == "numpy", (path.name, root)
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(repo / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=1.24"]
 
 
 @pytest.fixture
@@ -133,6 +154,17 @@ def test_stats_rejects_a_types_string(tmp_path, capsys):
     assert main(["stats", "--hierarchy", str(p)]) == 2
     captured = capsys.readouterr()
     assert f"error: {p}: malformed hierarchy payload: 'types' must be a list" in captured.err
+    assert captured.out == ""
+
+
+def test_stats_rejects_a_boolean_version(tmp_path, capsys):
+    # true == 1, so it once loaded as version 1
+    p = tmp_path / "h.json"
+    p.write_text(json.dumps({"format": "hiertype-hierarchy", "version": True, "types": ["a", "b"],
+                             "links": [["a", "b", "child_of"]]}), encoding="utf-8")
+    assert main(["stats", "--hierarchy", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"error: {p}: unsupported version True"
     assert captured.out == ""
 
 
@@ -498,8 +530,9 @@ def test_eval_rejects_a_checkpoint_without_the_bilinear_matrix_its_kinds_read(
     ("type_names", None, "'type_names' and 'vocab' must be lists of strings"),
     ("vocab", None, "'type_names' and 'vocab' must be lists of strings"),
     ("vocab", ["meow", ["vroom"], "the", "a"], "'type_names' and 'vocab' must be lists of strings"),
+    ("version", True, "unsupported checkpoint version True"),
 ], ids=["margin_list", "margin_dict", "margin_null", "margin_nan", "type_names_null",
-        "vocab_null", "vocab_holds_list"])
+        "vocab_null", "vocab_holds_list", "version_true"])
 def test_eval_rejects_mistyped_checkpoint_header_values(task, capsys, key, value, message):
     model = run_train(task)
     _rewrite_checkpoint(model, _set_header(key, value))

@@ -316,6 +316,16 @@ def test_link_outside_declared_types_rejected():
         TypeHierarchy.from_dict(data, source="h.json")
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_version_must_be_the_integer_one(version):
+    # True == 1.0 == 1, so a comparison alone let these load as version 1
+    data = build([("a", "b", "child_of")]).to_dict()
+    data["version"] = version
+    with pytest.raises(HierarchyError) as exc:
+        TypeHierarchy.from_dict(data, source="h.json")
+    assert str(exc.value) == f"h.json: unsupported version {version!r}"
+
+
 def test_bad_payloads_rejected():
     with pytest.raises(HierarchyError):
         TypeHierarchy.from_dict({"format": "something-else"})

@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields
 
@@ -638,6 +639,21 @@ def test_checkpoint_corruption_detected(tmp_path):
         fh.write(b"\xff\xfe garbage\n")
     with pytest.raises(CheckpointError):
         load_checkpoint(not_json)
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"], ids=["true", "float", "string"])
+def test_checkpoint_version_must_be_the_integer_one(tmp_path, version):
+    # True == 1.0 == 1, so a comparison alone let these load as version 1
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(path, make_checkpoint_fixture(np.random.default_rng(28)))
+    with open(path, "rb") as fh:
+        header, blob = json.loads(fh.readline()), fh.read()
+    header["version"] = version
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n" + blob)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(path)
+    assert str(exc.value) == f"{path}: unsupported checkpoint version {version!r}"
 
 
 def test_checkpoint_header_validation():

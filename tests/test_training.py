@@ -20,7 +20,6 @@ from hiertype import (
     TypeHierarchy,
     adam_step,
     config_from_strings,
-    finite_difference_check,
     glorot_init,
     init_model,
     load_train_config,
@@ -435,7 +434,7 @@ def test_backward_closed_form_for_degenerate_encoder():
         for g in golds
     ]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT)
-    value, grads, _ = loss(prepared, None, params, cfg, grads=True)
+    value, grads = loss(prepared, None, params, cfg, grads=True)
 
     b2 = params.b2
     u = params.type_emb @ b2
@@ -460,8 +459,8 @@ def test_backward_zero_structure_weight_means_zero_structure_grads():
     wv, span = random_sentence(rng, d)
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(0,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR, structure_weight=0.0)
-    loss_a, grads_a, _ = loss(prepared, [(1, (0,))], params, cfg, grads=True)
-    loss_b, grads_b, _ = loss(prepared, None, params, cfg, grads=True)
+    loss_a, grads_a = loss(prepared, [(1, (0,))], params, cfg, grads=True)
+    loss_b, grads_b = loss(prepared, None, params, cfg, grads=True)
     assert loss_a == loss_b
     assert np.count_nonzero(grads_a["bilinear_structure"]) == 0
     for name, g in grads_a.items():
@@ -477,7 +476,7 @@ def test_backward_mention_only_means_zero_cnn_grads():
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(2,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT,
                        encoder_mode=EncoderMode.MENTION_ONLY)
-    _, grads, _ = loss(prepared, None, params, cfg, grads=True)
+    _, grads = loss(prepared, None, params, cfg, grads=True)
     assert np.count_nonzero(grads["cnn_w"]) == 0
     assert np.count_nonzero(grads["cnn_b"]) == 0
     assert np.count_nonzero(grads["w1"]) and np.count_nonzero(grads["b1"])
@@ -491,14 +490,9 @@ def test_backward_structure_gradient_matches_finite_differences():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR,
                        structure_score_kind=ScoreKind.BILINEAR,
                        structure_weight=1.3, margin=0.9)
-    _, grads, _ = loss(None, sbatch, params, cfg, grads=True)
-
-    def loss_fn(_tensors):
-        # the checker perturbs the views of params.tensors() in place
-        value, _, pattern = loss(None, sbatch, params, cfg, pattern=True)
-        return value, pattern
-
-    report = finite_difference_check(loss_fn, params.tensors(), grads)
+    _, grads = loss(None, sbatch, params, cfg, grads=True)
+    report = oracles.finite_difference_check(oracles.kinked_loss(None, sbatch, params, cfg),
+                                             params.tensors(), grads)
     assert report.checked > 0
     assert report.max_rel_error < 1e-6, report.worst
 
@@ -511,7 +505,7 @@ def test_loss_gradients_are_views_of_one_vector():
     prepared = [PreparedMention(word_vectors=wv, span=span, gold=(2,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR,
                        structure_score_kind=ScoreKind.BILINEAR, structure_weight=0.5)
-    _, grads, _ = loss(prepared, [(0, (1, 2))], params, cfg, grads=True)
+    _, grads = loss(prepared, [(0, (1, 2))], params, cfg, grads=True)
     assert list(grads) == list(params.tensors())
     base = grads["cnn_w"].base
     assert base is not None and base.shape == params.flat.shape
@@ -565,7 +559,7 @@ def test_fd_check_on_smooth_quadratic():
     rng = np.random.default_rng(11)
     params = {"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}
     analytic = {k: 2.0 * v for k, v in params.items()}
-    report = finite_difference_check(quadratic_loss, params, analytic)
+    report = oracles.finite_difference_check(quadratic_loss, params, analytic)
     assert report.checked == 10 and report.skipped == 0
     assert report.max_rel_error < 1e-9
 
@@ -573,7 +567,7 @@ def test_fd_check_on_smooth_quadratic():
 def test_fd_check_reports_wrong_gradients():
     params = {"a": np.array([1.0, 2.0])}
     analytic = {"a": np.array([2.0, 7.0])}  # second coordinate is wrong
-    report = finite_difference_check(quadratic_loss, params, analytic)
+    report = oracles.finite_difference_check(quadratic_loss, params, analytic)
     assert report.max_rel_error > 0.4
     assert report.worst is not None and report.worst[1] == 1
 
@@ -586,7 +580,7 @@ def test_fd_check_skips_pattern_flips():
 
     params = {"x": np.array([0.5, 1e-7])}  # second coord flips sign under eps
     analytic = {"x": np.array([1.0, 1.0])}
-    report = finite_difference_check(abs_loss, params, analytic, epsilon=1e-5)
+    report = oracles.finite_difference_check(abs_loss, params, analytic, epsilon=1e-5)
     assert report.checked == 1 and report.skipped == 1
     assert report.max_rel_error < 1e-9
 
@@ -595,7 +589,7 @@ def test_fd_check_epsilon_validation():
     params = {"a": np.zeros(1)}
     for bad in (1e-8, 1e-2, 0.0):
         with pytest.raises(TrainingError):
-            finite_difference_check(quadratic_loss, params, params, epsilon=bad)
+            oracles.finite_difference_check(quadratic_loss, params, params, epsilon=bad)
 
 
 def test_fd_check_encoder_kink_at_zero_bias():
@@ -605,19 +599,39 @@ def test_fd_check_encoder_kink_at_zero_bias():
     params = zero_params(d=d, n_types=2)
     prepared = [PreparedMention(word_vectors=np.zeros((2, d)), span=(0, 1), gold=(0,))]
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT)
-    _, grads, _ = loss(prepared, None, params, cfg, grads=True)
-
-    def loss_fn(_tensors):
-        # the checker perturbs the views of params.tensors() in place
-        value, _, pattern = loss(prepared, None, params, cfg, pattern=True)
-        return value, pattern
-
+    _, grads = loss(prepared, None, params, cfg, grads=True)
     tensors = params.tensors()
-    report = finite_difference_check(loss_fn, tensors, grads)
+    report = oracles.finite_difference_check(oracles.kinked_loss(prepared, None, params, cfg),
+                                             tensors, grads)
     total = sum(t.size for t in tensors.values())
     assert report.skipped == 2 * d  # every b1 and cnn_b coordinate
     assert report.checked == total - 2 * d
     assert report.max_rel_error < 1e-9
+
+
+def test_fd_check_skips_the_order_kinks():
+    # d = 1, structure only, x = type 0 at 0.0: the negative type 1 at 1.0
+    # sits on the hinge (E == margin) and the negative type 2 at 0.0 on the
+    # rectifier (y == x), so moving rows 0, 1 or 2 crosses a kink; row 3,
+    # the ancestor, is smooth
+    d = 1
+    params = ModelParams(**zero_encoder_tensors(d, 3),
+                         type_emb=np.array([[0.0], [1.0], [0.0], [3.0]]))
+    sbatch = [(0, (3,))]
+    cfg = small_config(dim=d, mention_score_kind=ScoreKind.ORDER, structure_weight=1.0,
+                       margin=1.0)
+    _, grads = loss(None, sbatch, params, cfg, grads=True)
+    assert grads["type_emb"][3, 0] == 6.0  # d(y - x)^2 / dy at y - x = 3
+    tensors = params.tensors()
+    report = oracles.finite_difference_check(oracles.kinked_loss(None, sbatch, params, cfg),
+                                             tensors, grads)
+    assert report.skipped == 3
+    assert report.checked == sum(t.size for t in tensors.values()) - 3
+    assert report.max_rel_error < 1e-4, report.worst
+    # unguarded, the hinge kink reads as a wrong gradient
+    unguarded = oracles.finite_difference_check(
+        lambda _tensors: (loss(None, sbatch, params, cfg)[0], b""), tensors, grads)
+    assert unguarded.skipped == 0 and unguarded.max_rel_error > 0.4
 
 
 def test_fd_check_ragged_batch_with_dropout():
@@ -637,14 +651,9 @@ def test_fd_check_ragged_batch_with_dropout():
     for kind in (ScoreKind.ORDER, ScoreKind.BILINEAR, ScoreKind.DOT):
         params = random_model(rng, d, w, n_types, with_bilinear=kind is ScoreKind.BILINEAR)
         cfg = small_config(dim=d, filter_width=w, mention_score_kind=kind)
-        _, grads, _ = loss(prepared, None, params, cfg, masks, grads=True)
-
-        def loss_fn(_tensors):
-            # the checker perturbs the views of params.tensors() in place
-            value, _, pattern = loss(prepared, None, params, cfg, masks, pattern=True)
-            return value, pattern
-
-        report = finite_difference_check(loss_fn, params.tensors(), grads)
+        _, grads = loss(prepared, None, params, cfg, masks, grads=True)
+        report = oracles.finite_difference_check(
+            oracles.kinked_loss(prepared, None, params, cfg, masks), params.tensors(), grads)
         assert np.count_nonzero(grads["cnn_w"]) > 0
         assert report.checked > 0.9 * sum(t.size for t in params.tensors().values())
         assert report.max_rel_error < 1e-4, (kind, report.worst)
@@ -687,17 +696,16 @@ def test_order_grid_chunks_match_one_chunk(monkeypatch):
     monkeypatch.setattr(model, "ORDER_TILE", 3)
     monkeypatch.setattr(model, "ORDER_LANES", 2)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
-    split_loss, split_dx, split_dy, _, split_pattern = model.membership_grid(
-        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
+    split_loss, split_dx, split_dy, _ = model.membership_grid(
+        ScoreKind.ORDER, x, y, None, pos, neg, 1.0)
     split_scores = model.score_all_types(ScoreKind.ORDER, x, y)
     _one_walk(monkeypatch, 7, 12)
-    whole_loss, whole_dx, whole_dy, _, whole_pattern = model.membership_grid(
-        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
+    whole_loss, whole_dx, whole_dy, _ = model.membership_grid(
+        ScoreKind.ORDER, x, y, None, pos, neg, 1.0)
     assert split_loss == whole_loss
     assert np.allclose(split_dy, whole_dy, rtol=0.0, atol=1e-12)
     assert np.allclose(split_dx, whole_dx, rtol=0.0, atol=1e-12)
     assert np.array_equal(split_scores, model.score_all_types(ScoreKind.ORDER, x, y))
-    assert split_pattern == whole_pattern
 
 
 @pytest.mark.parametrize("B", [1, 7, 8, 9, 33])
@@ -709,20 +717,17 @@ def test_order_grid_tiles_and_lanes_match_one_walk(monkeypatch, B, N):
     x, y, pos, neg = _order_case(rng, B, N)
     tiled = model.order_grid(x, y, pos, neg, 1.0)
     tiled_fwd = model.order_grid(x, y)
-    tiled_loss, _, _, _, tiled_pattern = model.membership_grid(
-        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
+    tiled_loss = model.membership_grid(ScoreKind.ORDER, x, y, None, pos, neg, 1.0)[0]
     tiled_scores = model.score_all_types(ScoreKind.ORDER, x, y)
     _one_walk(monkeypatch, B, N)
     whole = model.order_grid(x, y, pos, neg, 1.0)
-    whole_loss, _, _, _, whole_pattern = model.membership_grid(
-        ScoreKind.ORDER, x, y, None, pos, neg, 1.0, pattern=True)
+    whole_loss = model.membership_grid(ScoreKind.ORDER, x, y, None, pos, neg, 1.0)[0]
     assert np.array_equal(tiled[0], whole[0])
     assert np.array_equal(tiled_fwd[0], whole[0]) and tiled_fwd[1:] == (None, None)
     assert np.array_equal(tiled_scores, model.score_all_types(ScoreKind.ORDER, x, y))
     assert np.allclose(tiled[1], whole[1], rtol=0.0, atol=1e-12)
     assert np.allclose(tiled[2], whole[2], rtol=0.0, atol=1e-12)
     assert tiled_loss == whole_loss
-    assert tiled_pattern == whole_pattern
 
 
 def test_order_grid_matches_the_pairwise_gradient_oracle():
@@ -754,7 +759,7 @@ def test_order_grid_bits_do_not_depend_on_the_worker_count(monkeypatch):
             monkeypatch.setattr(model, "ORDER_LANES", lanes)
             monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
             energy, d_x, d_y = model.order_grid(x, y, pos, neg, 1.0)
-            loss_sum, grid_d_x, grid_d_y, _, _ = model.membership_grid(
+            loss_sum, grid_d_x, grid_d_y, _ = model.membership_grid(
                 ScoreKind.ORDER, x, y, None, pos, neg, 1.0)
             runs[lanes, workers] = (energy, d_x, d_y, loss_sum, grid_d_x, grid_d_y)
     finally:
@@ -768,8 +773,7 @@ def test_order_grid_bits_do_not_depend_on_the_worker_count(monkeypatch):
 
 def test_fd_check_multi_chunk_order_grid(monkeypatch):
     # 12 types in chunks of 5, 5 and 2, split into lanes [0, 5) and [5, 12);
-    # x rows in tiles of 2: every chunk's and tile's rectifier bits are in
-    # the pattern, and d_x sums over both lanes
+    # x rows in tiles of 2, so d_x sums over both lanes
     monkeypatch.setattr(model, "ORDER_CHUNK", 5)
     monkeypatch.setattr(model, "ORDER_TILE", 2)
     monkeypatch.setattr(model, "ORDER_LANES", 2)
@@ -785,14 +789,10 @@ def test_fd_check_multi_chunk_order_grid(monkeypatch):
     for typing_batch, structure_batch, weight in ((typing, None, 0.0), (None, sbatch, 1.0)):
         cfg = small_config(dim=d, mention_score_kind=ScoreKind.ORDER,
                            structure_score_kind=ScoreKind.ORDER, structure_weight=weight)
-        _, grads, _ = loss(typing_batch, structure_batch, params, cfg, grads=True)
-
-        def loss_fn(_tensors):
-            # the checker perturbs the views of params.tensors() in place
-            value, _, pattern = loss(typing_batch, structure_batch, params, cfg, pattern=True)
-            return value, pattern
-
-        report = finite_difference_check(loss_fn, params.tensors(), grads)
+        _, grads = loss(typing_batch, structure_batch, params, cfg, grads=True)
+        report = oracles.finite_difference_check(
+            oracles.kinked_loss(typing_batch, structure_batch, params, cfg), params.tensors(),
+            grads)
         live = grads["type_emb"].size + (grads["w1"].size if typing_batch else 0)
         assert report.checked > 0.5 * live
         assert report.max_rel_error < 1e-4, report.worst
@@ -809,9 +809,8 @@ def test_logit_grid_gradients_match_scalar_oracle():
         rows = y.copy()
         v = x[1] @ mat if mat is not None else x[1]
         rows[6] = 40.0 * v / (v @ v)  # logit 40: the capped negative branch
-        _, grid_d_x, grid_d_y, grid_d_a, parts = model.membership_grid(
-            kind, x, rows, mat, pos, neg, 1.0, pattern=True)
-        assert np.any(np.unpackbits(np.frombuffer(parts[0], dtype=np.uint8)))
+        _, grid_d_x, grid_d_y, grid_d_a = model.membership_grid(kind, x, rows, mat, pos, neg, 1.0)
+        assert oracles.capped_negatives(x, rows, mat, neg)[1, 6]
         d_x, d_y, d_a = oracles.logit_grid_gradients(x, rows, pos, neg, mat)
         assert np.allclose(grid_d_x, d_x, rtol=0.0, atol=1e-12), kind
         assert np.allclose(grid_d_y, d_y, rtol=0.0, atol=1e-12), kind
