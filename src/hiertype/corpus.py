@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import HiertypeError, located_decode_errors
+from .errors import HiertypeError, expect, located_decode_errors, parse_json
 from .hierarchy import TypeHierarchy, TypeId
 
 log = logging.getLogger(__name__)
@@ -45,15 +45,12 @@ class Mention:
     entity_id: str = ""
 
     def __post_init__(self):
+        expect(self.span, (int, int), "span", CorpusError)
         object.__setattr__(self, "tokens", tuple(self.tokens))
         object.__setattr__(self, "span", tuple(self.span))
         if not self.tokens:
             raise CorpusError("mention has no tokens")
-        if len(self.span) != 2:
-            raise CorpusError(f"span must have two endpoints, got {self.span!r}")
         t1, t2 = self.span
-        if not all(isinstance(t, int) and not isinstance(t, bool) for t in self.span):
-            raise CorpusError(f"span endpoints must be integers, got {self.span!r}")
         if not (0 <= t1 <= t2 < len(self.tokens)):
             raise CorpusError(
                 f"span {self.span!r} out of range for {len(self.tokens)} token(s)"
@@ -70,10 +67,10 @@ class CorpusRecord:
     types: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "span", tuple(self.span))
+        mention = self.to_mention()  # validates tokens and span
+        object.__setattr__(self, "tokens", mention.tokens)
+        object.__setattr__(self, "span", mention.span)
         object.__setattr__(self, "types", tuple(self.types))
-        self.to_mention()  # validates tokens and span
 
     def to_mention(self) -> Mention:
         return Mention(self.tokens, self.span, self.entity_id)
@@ -212,70 +209,40 @@ class EmbeddingTable:
 
 
 def read_corpus(path: str) -> list[CorpusRecord]:
+    """JSONL records when the text starts with ``{``, else TSV rows; a
+    faulty line is named by ``path:line``."""
     with located_decode_errors(path, CorpusError), open(path, encoding="utf-8") as fh:
         text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return _read_jsonl(text, path)
-    return _read_tsv(text, path)
-
-
-def _read_jsonl(text: str, source: str) -> list[CorpusRecord]:
+    jsonl = text.lstrip().startswith("{")
     records = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line.strip() or (not jsonl and line.startswith("#")):
             continue
+        where = f"{path}:{line_no}"
+        row = parse_json(line, where, CorpusError) if jsonl else line.split("\t")
         try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise CorpusError("record is not an object")
-            tokens = obj["tokens"]
-            span = obj["span"]
-            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-                raise CorpusError("tokens must be a list of strings")
-            if not isinstance(span, list) or len(span) != 2:
-                raise CorpusError("span must be a two-element list")
-            entity_id = obj.get("entity_id", "")
-            types = obj.get("types", [])
-            if not isinstance(entity_id, str):
-                raise CorpusError(f"entity_id must be a string, got {entity_id!r}")
-            if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-                raise CorpusError(f"types must be a list of strings, got {types!r}")
-            record = CorpusRecord(
-                tokens=tuple(tokens),
-                span=(span[0], span[1]),
-                entity_id=entity_id,
-                types=tuple(types),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, CorpusError) as exc:
-            raise CorpusError(f"{source}:{line_no}: {exc}") from exc
-        records.append(record)
-    return records
-
-
-def _read_tsv(text: str, source: str) -> list[CorpusRecord]:
-    records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) not in (4, 5):
-            raise CorpusError(f"{source}:{line_no}: expected 4 or 5 tab-separated fields, got {len(fields)}")
-        try:
-            t1, t2 = int(fields[1]), int(fields[2])
-            types = ()
-            if len(fields) == 5:
-                types = tuple(t.strip() for t in fields[4].split(",") if t.strip())
-            record = CorpusRecord(
-                tokens=tuple(fields[3].split(" ")),
-                span=(t1, t2),
-                entity_id=fields[0],
-                types=types,
-            )
+            records.append(_jsonl_record(row) if jsonl else _tsv_record(row))
         except (ValueError, CorpusError) as exc:
-            raise CorpusError(f"{source}:{line_no}: {exc}") from exc
-        records.append(record)
+            raise CorpusError(f"{where}: {exc}") from exc
     return records
+
+
+def _jsonl_record(obj: object) -> CorpusRecord:
+    expect(obj, dict, "record", CorpusError)
+    return CorpusRecord(
+        tokens=expect(obj.get("tokens"), [str], "tokens", CorpusError),
+        span=expect(obj.get("span"), (int, int), "span", CorpusError),
+        entity_id=expect(obj.get("entity_id", ""), str, "entity_id", CorpusError),
+        types=expect(obj.get("types", []), [str], "types", CorpusError),
+    )
+
+
+def _tsv_record(fields: list[str]) -> CorpusRecord:
+    if len(fields) not in (4, 5):
+        raise CorpusError(f"expected 4 or 5 tab-separated fields, got {len(fields)}")
+    types = tuple(t.strip() for t in fields[4].split(",") if t.strip()) if len(fields) == 5 else ()
+    return CorpusRecord(tokens=tuple(fields[3].split(" ")), span=(int(fields[1]), int(fields[2])),
+                        entity_id=fields[0], types=types)
 
 
 def write_corpus(path: str, records: Iterable[CorpusRecord]) -> None:

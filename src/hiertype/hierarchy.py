@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import HiertypeError, located_decode_errors
+from .errors import HiertypeError, Optional, expect, located_decode_errors, parse_json
 
 log = logging.getLogger(__name__)
 
@@ -93,13 +93,13 @@ class Link(NamedTuple):
 RawLink = tuple[str, str, LinkKind]
 
 
-def _resolve_link(child: str, parent: str, kind: object) -> RawLink:
+def _resolve_link(child: str, parent: str, kind: str) -> RawLink:
     """The one check of a link: both names non-empty, the kind a LinkKind or
     a file token (``parent_of`` reversed), and no self link other than an
     equivalence.  Callers prefix the fault with its location."""
     if not child or not parent:
         raise HierarchyError("empty type name")
-    token = kind.value if isinstance(kind, LinkKind) else str(kind)
+    token = kind.value if isinstance(kind, LinkKind) else kind
     if token not in _KIND_TOKENS:
         raise HierarchyError(f"unknown link kind: {token!r}")
     resolved, reverse = _KIND_TOKENS[token]
@@ -148,7 +148,7 @@ class TypeHierarchy:
 
     def __init__(
         self,
-        links: Iterable[tuple[str, str, object]],
+        links: Iterable[tuple[str, str, str]],
         extra_types: Sequence[str] = (),
         source: str = "<memory>",
         name_order: Sequence[str] | None = None,
@@ -175,9 +175,10 @@ class TypeHierarchy:
         deduped: list[RawLink] = []
         seen: set[tuple] = set()
         duplicates = 0
-        for i, (child, parent, kind) in enumerate(links):
+        for i, link in enumerate(links):
+            link = expect(link, (str, str, str), f"{source}: link {i}:", HierarchyError)
             try:
-                child, parent, kind = _resolve_link(child, parent, kind)
+                child, parent, kind = _resolve_link(*link)
             except HierarchyError as exc:
                 raise HierarchyError(f"{source}: link {i}: {exc}") from exc
             if name_order is not None:
@@ -360,28 +361,18 @@ class TypeHierarchy:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, object], source: str = "<dict>") -> "TypeHierarchy":
+    def from_dict(cls, data: dict[str, object], source: str = "<dict>") -> "TypeHierarchy":
+        expect(data, dict, f"{source}: serialized hierarchy", HierarchyError)
         if data.get("format") != SERIAL_FORMAT:
             raise HierarchyError(f"{source}: not a serialized hierarchy")
-        version = data.get("version")
-        if type(version) is not int or version != SERIAL_VERSION:  # True == 1.0 == 1
+        at = f"{source}: malformed hierarchy payload: "
+        version = expect(data.get("version"), int, f"{at}'version'", HierarchyError)
+        if version != SERIAL_VERSION:
             raise HierarchyError(f"{source}: unsupported version {version!r}")
-        types, links, stored = data.get("types"), data.get("links"), data.get("ancestors")
-        if not (isinstance(types, list) and all(isinstance(t, str) for t in types)):
-            raise HierarchyError(f"{source}: malformed hierarchy payload: 'types' must be a list "
-                                 "of strings")
-        if not isinstance(links, list):
-            raise HierarchyError(f"{source}: malformed hierarchy payload: 'links' must be a list")
-        for i, link in enumerate(links):
-            # an in-memory payload may hold tuples
-            if not (isinstance(link, (list, tuple)) and len(link) == 3
-                    and all(isinstance(s, str) for s in link)):
-                raise HierarchyError(f"{source}: link {i}: must be a list of three strings, got {link!r}")
-        # bool is a subclass of int, so compare types exactly
-        if stored is not None and not (isinstance(stored, list) and all(
-                isinstance(a, list) and all(type(v) is int for v in a) for a in stored)):
-            raise HierarchyError(f"{source}: malformed hierarchy payload: 'ancestors' must be a list "
-                                 "of lists of integers")
+        types = expect(data.get("types"), [str], f"{at}'types'", HierarchyError)
+        # each link's own shape is checked where the link is resolved
+        links = expect(data.get("links"), list, f"{at}'links'", HierarchyError)
+        stored = expect(data.get("ancestors"), Optional([[int]]), f"{at}'ancestors'", HierarchyError)
         h = cls(links, source=source, name_order=types)
         if stored is not None:
             recomputed = [list(a) for a in h._ancestors]
@@ -397,7 +388,7 @@ class TypeHierarchy:
     @classmethod
     def from_links(
         cls,
-        links: Iterable[tuple[str, str, object]],
+        links: Iterable[tuple[str, str, str]],
         types: Sequence[str] = (),
         source: str = "<memory>",
     ) -> "TypeHierarchy":
@@ -407,13 +398,8 @@ class TypeHierarchy:
     def load(cls, path: str) -> "TypeHierarchy":
         with located_decode_errors(path, HierarchyError), open(path, encoding="utf-8") as fh:
             text = fh.read()
-        stripped = text.lstrip()
-        if stripped.startswith("{"):
-            try:
-                data = json.loads(text)
-            except json.JSONDecodeError as exc:
-                raise HierarchyError(f"{path}: invalid hierarchy JSON: {exc}") from exc
-            return cls.from_dict(data, source=path)
+        if text.lstrip().startswith("{"):
+            return cls.from_dict(parse_json(text, path, HierarchyError), source=path)
         raw, isolated = _parse_links_text(text, path)
         return cls(raw, extra_types=isolated, source=path)
 

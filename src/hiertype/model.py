@@ -59,8 +59,8 @@ import itertools
 import json
 import math
 import os
-import sys
 import threading
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
@@ -68,13 +68,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import EmbeddingTable, Mention
-from .errors import HiertypeError
+from .errors import HiertypeError, Optional, expect, located_decode_errors, parse_json
 
 # sigma is clamped into [CLAMP, 1 - CLAMP] before log(1 - sigma)
 SIGMOID_CLAMP = 1e-12
 
 CHECKPOINT_FORMAT = "hiertype-checkpoint"
 CHECKPOINT_VERSION = 1
+# the shape of every checkpoint header field after the format tag and version
+_HEADER_FIELDS = {"tensors": [(str, [int])], "dim": int, "filter_width": int, "n_types": int,
+                  "type_names": [str], "vocab": [str], "margin": float, "encoder_mode": str,
+                  "mention_score_kind": str, "structure_score_kind": Optional(str)}
 
 
 class ModelError(HiertypeError):
@@ -633,39 +637,28 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
             fh.write(np.ascontiguousarray(block, dtype="<f8"))
 
 
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(s, str) for s in value)
-
-
 def _checked_header(path: str, line: bytes) -> tuple[dict, list]:
     """The header object of a checkpoint and its tensor list, after every
     check that needs no tensor bytes."""
-    try:
-        header = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable checkpoint header: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
+    with located_decode_errors(path, CheckpointError):
+        text = line.decode("utf-8")
+    header = expect(parse_json(text, path, CheckpointError), dict, f"{path}: header", CheckpointError)
+    if header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a model checkpoint")
-    version = header.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:  # True == 1.0 == 1
+    version = expect(header.get("version"), int, f"{path}: header 'version'", CheckpointError)
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    specs = header.get("tensors")
-    if not isinstance(specs, list) or not all(
-        isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], list)
-        and all(type(s) is int and s >= 0 for s in e[1]) for e in specs
-    ):
-        raise CheckpointError(f"{path}: header 'tensors' must be a list of [name, shape] pairs "
-                              "with non-negative integer dimensions")
-    sizes = [header.get(k) for k in ("dim", "filter_width", "n_types")]
-    if not all(type(v) is int and v >= 1 for v in sizes):
+    for key, shape in _HEADER_FIELDS.items():
+        expect(header.get(key), shape, f"{path}: header '{key}'", CheckpointError)
+    # a negative dimension fails the comparison with the expected shapes below
+    specs, sizes = header["tensors"], [header[k] for k in ("dim", "filter_width", "n_types")]
+    if min(sizes) < 1:
         raise CheckpointError(f"{path}: header 'dim', 'filter_width' and 'n_types' must be "
                               "positive integers")
-    if not (_is_str_list(header.get("type_names")) and _is_str_list(header.get("vocab"))):
-        raise CheckpointError(f"{path}: header 'type_names' and 'vocab' must be lists of strings")
-    margin = header.get("margin")
-    # nan, inf and ints beyond the float range all fail the comparison
-    if type(margin) not in (int, float) or not abs(margin) <= sys.float_info.max:
-        raise CheckpointError(f"{path}: header 'margin' must be a finite number, got {margin!r}")
+    for key in ("type_names", "vocab"):
+        if len(set(header[key])) != len(header[key]):
+            repeat = next(e for e, count in Counter(header[key]).items() if count > 1)
+            raise CheckpointError(f"{path}: header '{key}' repeats {repeat!r}")
     expected = _tensor_shapes(*sizes, len(header["vocab"]))
     names = [name for name, _ in specs]
     if len(set(names)) != len(names):
@@ -728,6 +721,6 @@ def load_checkpoint(path: str) -> Checkpoint:
             structure_score_kind=None if skind is None else ScoreKind(skind),
             margin=float(header["margin"]),
         )
-    except (KeyError, ValueError, ModelError) as exc:
+    except (KeyError, ValueError, ModelError, CheckpointError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint: {exc}") from exc
     return ckpt

@@ -14,10 +14,8 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
-import pytest
 
 from hiertype import (
     CycleError,

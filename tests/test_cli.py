@@ -1,4 +1,5 @@
 import ast
+import copy
 import json
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiertype import load_checkpoint, read_corpus
+from hiertype import CheckpointError, CorpusError, HierarchyError, TypeHierarchy, load_checkpoint, \
+    read_corpus
 from hiertype.cli import main
 
 import synthtask
@@ -32,6 +34,20 @@ def test_package_imports_only_the_standard_library_and_numpy():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     with open(repo / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["dependencies"] == ["numpy>=1.24"]
+
+
+def test_json_is_parsed_only_by_parse_json():
+    # errors.parse_json is the one JSON route: it owns the fault form and
+    # turns a too-deep document into a located error
+    repo = Path(__file__).resolve().parents[1]
+    users = set()
+    for path in sorted((repo / "src" / "hiertype").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "json"):
+                users.add(path.name)
+    assert users == {"errors.py"}
 
 
 @pytest.fixture
@@ -153,7 +169,8 @@ def test_stats_rejects_a_types_string(tmp_path, capsys):
                              "links": []}), encoding="utf-8")
     assert main(["stats", "--hierarchy", str(p)]) == 2
     captured = capsys.readouterr()
-    assert f"error: {p}: malformed hierarchy payload: 'types' must be a list" in captured.err
+    assert captured.err.strip() == (f"error: {p}: malformed hierarchy payload: 'types' must be a "
+                                    "list of strings, got 'ab'")
     assert captured.out == ""
 
 
@@ -164,7 +181,8 @@ def test_stats_rejects_a_boolean_version(tmp_path, capsys):
                              "links": [["a", "b", "child_of"]]}), encoding="utf-8")
     assert main(["stats", "--hierarchy", str(p)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.strip() == f"error: {p}: unsupported version True"
+    assert captured.err.strip() == (f"error: {p}: malformed hierarchy payload: 'version' must be "
+                                    "an integer, got True")
     assert captured.out == ""
 
 
@@ -271,7 +289,7 @@ def test_label_rejects_a_types_string(tmp_path, capsys):
     out = tmp_path / "labeled.jsonl"
     assert main(["label", "--hierarchy", str(links), "--corpus", str(corpus),
                  "--out", str(out)]) == 2
-    assert f"error: {corpus}:1: types must be a list of strings" in capsys.readouterr().err
+    assert f"error: {corpus}:1: types must be a list of strings, got 'ab'\n" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -428,8 +446,20 @@ def test_eval_rejects_malformed_checkpoint_tensor_list(task, tmp_path, capsys):
         header = json.loads(fh.readline())
         blob = fh.read()
     name, shape = header["tensors"][0]
-    for bad in (None, 5, [[name]], [[7, shape]], [[name, [-1] + shape[1:]]],
-                [[name, [True] + shape[1:]]], [[name, 3]]):
+    assert (name, shape) == ("cnn_w", [3, 4, 4])
+    form = "header 'tensors' must be a list of lists [a string, a list of integers], got"
+    for bad, message in (
+        (None, f"{form} None"),
+        (5, f"{form} 5"),
+        ([[name]], f"{form} [['cnn_w']]; item [0] is ['cnn_w']"),
+        ([[7, shape]], f"{form} [[7, [3, 4, 4]]]; item [0] is [7, [3, 4, 4]]"),
+        # a negative dimension cannot match the shape the header's sizes give
+        ([[name, [-1] + shape[1:]]], "tensor 'cnn_w' has shape [-1, 4, 4], but the header's dim, "
+                                     "filter_width, n_types and vocab give [3, 4, 4]"),
+        ([[name, [True] + shape[1:]]], f"{form} [['cnn_w', [True, 4, 4]]]; item [0] is "
+                                       "['cnn_w', [True, 4, 4]]"),
+        ([[name, 3]], f"{form} [['cnn_w', 3]]; item [0] is ['cnn_w', 3]"),
+    ):
         if bad is None:
             del header["tensors"]
         else:
@@ -439,7 +469,7 @@ def test_eval_rejects_malformed_checkpoint_tensor_list(task, tmp_path, capsys):
         assert main(["eval", "--model", str(broken), "--corpus", task["dev"],
                      "--hierarchy", task["links"]]) == 2, bad
         err = capsys.readouterr().err
-        assert f"error: {broken}:" in err and "tensors" in err, (bad, err)
+        assert f"error: {broken}: {message}\n" in err, (bad, err)
 
 
 def _rewrite_checkpoint(path, edit):
@@ -481,13 +511,16 @@ def _poison(index, value):
     (_set_header("dim", 999), "tensor 'cnn_w' has shape [3, 4, 4]"),
     (_set_header("filter_width", 5), "tensor 'cnn_w' has shape [3, 4, 4]"),
     (_set_header("n_types", 7), "tensor 'type_emb' has shape [4, 4]"),
-    (_set_header("dim", True), "'dim', 'filter_width' and 'n_types' must be positive integers"),
+    (_set_header("dim", True), "header 'dim' must be an integer, got True"),
+    (_set_header("dim", 0), "header 'dim', 'filter_width' and 'n_types' must be positive integers"),
+    # found by the type-confusion fuzz: this fault once named no file
+    (_set_header("type_names", ["cat"]), "malformed checkpoint: 1 type name(s) for 4 embedding row(s)"),
     (_add_junk_tensor, "unknown tensor 'junk'"),
     (_drop_first_tensor, "header 'tensors' lacks required tensor 'cnn_w'"),
     (_poison(0, np.nan), "tensor 'cnn_w' holds non-finite values"),
     (_poison(-1, -np.inf), "tensor 'word_emb' holds non-finite values"),
-], ids=["dim", "filter_width", "n_types", "bool_dim", "unknown_tensor", "missing_cnn_w",
-        "nan", "inf"])
+], ids=["dim", "filter_width", "n_types", "bool_dim", "zero_dim", "type_names_count",
+        "unknown_tensor", "missing_cnn_w", "nan", "inf"])
 def test_eval_rejects_inconsistent_checkpoint(task, capsys, edit, message):
     model = run_train(task)
     _rewrite_checkpoint(model, edit)
@@ -523,23 +556,32 @@ def test_eval_rejects_a_checkpoint_without_the_bilinear_matrix_its_kinds_read(
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("margin", [1.0], "'margin' must be a finite number"),
-    ("margin", {"value": 1.0}, "'margin' must be a finite number"),
-    ("margin", None, "'margin' must be a finite number"),
-    ("margin", float("nan"), "'margin' must be a finite number"),
-    ("type_names", None, "'type_names' and 'vocab' must be lists of strings"),
-    ("vocab", None, "'type_names' and 'vocab' must be lists of strings"),
-    ("vocab", ["meow", ["vroom"], "the", "a"], "'type_names' and 'vocab' must be lists of strings"),
-    ("version", True, "unsupported checkpoint version True"),
+    ("margin", [1.0], "header 'margin' must be a finite number, got [1.0]"),
+    ("margin", {"value": 1.0}, "header 'margin' must be a finite number, got {'value': 1.0}"),
+    ("margin", None, "header 'margin' must be a finite number, got None"),
+    ("margin", float("nan"), "header 'margin' must be a finite number, got nan"),
+    ("type_names", None, "header 'type_names' must be a list of strings, got None"),
+    ("vocab", None, "header 'vocab' must be a list of strings, got None"),
+    ("vocab", ["meow", ["vroom"], "the", "a"],
+     "header 'vocab' must be a list of strings, got ['meow', ['vroom'], 'the', 'a']; "
+     "item [1] is ['vroom']"),
+    ("version", True, "header 'version' must be an integer, got True"),
+    # a repeated token once surfaced as "duplicate tokens in embedding table",
+    # with no file named
+    ("vocab", ["meow", "the", "meow", "a"], "header 'vocab' repeats 'meow'"),
+    ("type_names", ["cat", "animal", "cat", "thing"], "header 'type_names' repeats 'cat'"),
+    ("encoder_mode", None, "header 'encoder_mode' must be a string, got None"),
+    ("structure_score_kind", 1, "header 'structure_score_kind' must be a string or null, got 1"),
 ], ids=["margin_list", "margin_dict", "margin_null", "margin_nan", "type_names_null",
-        "vocab_null", "vocab_holds_list", "version_true"])
+        "vocab_null", "vocab_holds_list", "version_true", "vocab_repeat", "type_names_repeat",
+        "encoder_mode_null", "structure_kind_int"])
 def test_eval_rejects_mistyped_checkpoint_header_values(task, capsys, key, value, message):
     model = run_train(task)
     _rewrite_checkpoint(model, _set_header(key, value))
     assert main(["eval", "--model", model, "--corpus", task["dev"],
                  "--hierarchy", task["links"]]) == 2
     err = capsys.readouterr().err
-    assert f"error: {model}: " in err and message in err, err
+    assert f"error: {model}: {message}\n" in err, err
 
 
 def test_eval_rejects_tensors_listed_out_of_file_order(task, capsys):
@@ -573,22 +615,29 @@ def test_eval_on_a_mutated_checkpoint_exits_0_or_2(task, tmp_path, capsys):
     header = json.loads(header_line)
     mutated = tmp_path / "mutated.ckpt"
 
-    @settings(max_examples=60)
+    @settings(max_examples=120)
     @given(st.one_of(
         st.tuples(st.sampled_from(sorted(header)), JSON_VALUES),
         st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 255)),
+        st.tuples(st.just("confused"), type_confusions(header)),
     ))
     def check(mutation):
         where, what = mutation
-        if isinstance(where, str):  # one header value replaced by any JSON value
+        if where == "confused":  # one member or element type-confused, or one member deleted
+            data = json.dumps(what).encode("utf-8") + b"\n" + blob
+        elif isinstance(where, str):  # one header value replaced by any JSON value
             data = json.dumps({**header, where: what}).encode("utf-8") + b"\n" + blob
         else:  # one byte anywhere in the file overwritten
             data = raw[:where] + bytes([what]) + raw[where + 1:]
         mutated.write_bytes(data)
+        fault = _read_or_error(lambda: load_checkpoint(str(mutated)), CheckpointError)
         rc = main(["eval", "--model", str(mutated), "--corpus", task["dev"],
                    "--hierarchy", task["links"]])
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc in (0, 2), mutation
+        if fault is not None:
+            assert str(fault).startswith(f"{mutated}:") and rc == 2, (mutation, err)
+            assert err == f"error: {fault}\n"
 
     check()
 
@@ -752,3 +801,133 @@ def test_log_level_environment_variable(task, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("HIERTYPE_LOG", "info")
     assert main(["label", "--hierarchy", links, "--corpus", corpus, "--out", out]) == 0
     assert "labeled" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# JSON inputs: deep nesting and type confusion
+
+def _hierarchy_holding(value, tmp_path, task):
+    p = tmp_path / "h.json"
+    p.write_text('{"format":"hiertype-hierarchy","version":1,"types":%s,"links":[]}' % value,
+                 encoding="utf-8")
+    return p, ["stats", "--hierarchy", str(p)]
+
+
+def _corpus_holding(value, tmp_path, task):
+    p = tmp_path / "corpus.jsonl"
+    p.write_text('{"tokens":["x"],"span":[0,0]}\n{"tokens":%s,"span":[0,0]}\n' % value,
+                 encoding="utf-8")
+    return f"{p}:2", ["label", "--hierarchy", task["links"], "--corpus", str(p),
+                      "--out", str(tmp_path / "out.jsonl")]
+
+
+def _checkpoint_holding(value, tmp_path, task):
+    model = run_train(task)
+    with open(model, "rb") as fh:
+        fh.readline()
+        blob = fh.read()
+    with open(model, "wb") as fh:
+        fh.write(b'{"format":"hiertype-checkpoint","vocab":%s}\n' % value.encode() + blob)
+    return model, ["eval", "--model", model, "--corpus", task["dev"], "--hierarchy", task["links"]]
+
+
+@pytest.mark.parametrize("route", [_hierarchy_holding, _corpus_holding, _checkpoint_holding],
+                         ids=["hierarchy", "corpus", "checkpoint"])
+@pytest.mark.parametrize("value, reason", [
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+    ("[%s]" % ("1" * 5_000), "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["deep", "long_int"])
+def test_json_the_parser_refuses_exits_2_with_its_location(task, tmp_path, capsys, route, value,
+                                                           reason):
+    # the parser's RecursionError, and its ValueError for an integer longer
+    # than the interpreter converts, once escaped as tracebacks with exit 1
+    if "digits" in reason and getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300:
+        pytest.skip("this interpreter has no 4300-digit integer conversion limit")
+    where, argv = route(value, tmp_path, task)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: invalid JSON: {reason}"), err
+
+
+CONFUSIONS = (True, 1, 1.0, "x", None, [], {})
+DELETE = object()
+
+
+def _json_paths(doc, path=()):
+    """The path of every object member and list element in ``doc``."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*path, key)
+        yield from _json_paths(value, (*path, key))
+
+
+def type_confusions(doc):
+    """``doc`` with one member or element replaced by a value of another JSON
+    type, or with one object member deleted."""
+    def confuse(path, value):
+        out = copy.deepcopy(doc)
+        parent = out
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        return out
+
+    paths = list(_json_paths(doc))
+    replaced = st.builds(confuse, st.sampled_from(paths), st.sampled_from(CONFUSIONS))
+    members = [p for p in paths if isinstance(p[-1], str)]
+    deleted = st.builds(confuse, st.sampled_from(members), st.just(DELETE))
+    return replaced | deleted
+
+
+def _read_or_error(read, error):
+    try:
+        read()
+    except error as exc:
+        return exc
+    return None
+
+
+def test_type_confused_hierarchy_json_exits_2_with_its_location(tmp_path, capsys):
+    valid = TypeHierarchy.from_links([("cat", "animal", "child_of"), ("car", "thing", "child_of"),
+                                      ("auto", "car", "equivalence")]).to_dict()
+    p = tmp_path / "h.json"
+
+    @settings(max_examples=80)
+    @given(type_confusions(valid))
+    def check(doc):
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        fault = _read_or_error(lambda: TypeHierarchy.load(str(p)), HierarchyError)
+        rc = main(["stats", "--hierarchy", str(p)])
+        err = capsys.readouterr().err
+        if fault is None:
+            assert rc == 0, (doc, err)
+        else:
+            assert str(fault).startswith(f"{p}: ") and rc == 2, (doc, err)
+            assert err == f"error: {fault}\n"
+
+    check()
+
+
+def test_type_confused_corpus_record_exits_2_with_its_location(tmp_path, capsys):
+    valid = {"tokens": ["a", "cat"], "span": [1, 1], "entity_id": "e1", "types": ["cat"]}
+    links, corpus = tmp_path / "links.tsv", tmp_path / "corpus.jsonl"
+    links.write_text(LINKS, encoding="utf-8")
+    out = tmp_path / "labeled.jsonl"
+
+    @settings(max_examples=80)
+    @given(type_confusions(valid))
+    def check(record):
+        corpus.write_text(json.dumps(valid) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        fault = _read_or_error(lambda: read_corpus(str(corpus)), CorpusError)
+        rc = main(["label", "--hierarchy", str(links), "--corpus", str(corpus), "--out", str(out)])
+        err = capsys.readouterr().err
+        if fault is None:
+            assert rc == 0, (record, err)
+        else:
+            assert str(fault).startswith(f"{corpus}:2: ") and rc == 2, (record, err)
+            assert err == f"error: {fault}\n"
+
+    check()

@@ -383,7 +383,7 @@ def test_jsonl_rejects_non_object_and_bad_fields(tmp_path):
 
 @pytest.mark.parametrize("field, message", [
     ('"types":"ab"', "types must be a list of strings, got 'ab'"),
-    ('"types":[1,null]', "types must be a list of strings, got [1, None]"),
+    ('"types":[1,null]', "types must be a list of strings, got [1, None]; item [0] is 1"),
     ('"types":{"a":1}', "types must be a list of strings, got {'a': 1}"),
     ('"entity_id":null', "entity_id must be a string, got None"),
 ])

@@ -323,7 +323,8 @@ def test_version_must_be_the_integer_one(version):
     data["version"] = version
     with pytest.raises(HierarchyError) as exc:
         TypeHierarchy.from_dict(data, source="h.json")
-    assert str(exc.value) == f"h.json: unsupported version {version!r}"
+    assert str(exc.value) == (f"h.json: malformed hierarchy payload: 'version' must be an "
+                              f"integer, got {version!r}")
 
 
 def test_bad_payloads_rejected():
@@ -341,26 +342,42 @@ def test_bad_payloads_rejected():
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("types", "ab", "malformed hierarchy payload: 'types' must be a list of strings"),
-    ("types", {"a": 1, "b": 2}, "malformed hierarchy payload: 'types' must be a list of strings"),
-    ("types", ["a", 1], "malformed hierarchy payload: 'types' must be a list of strings"),
-    ("links", "ab", "malformed hierarchy payload: 'links' must be a list"),
-    ("links", [["a", "b", "child_of"], "abc"], "link 1: must be a list of three strings"),
-    ("links", [["a", "b"]], "link 0: must be a list of three strings"),
-    ("links", [["a", "b", "child_of", "x"]], "link 0: must be a list of three strings"),
-    ("links", [["a", 1, "child_of"]], "link 0: must be a list of three strings"),
-    ("ancestors", [[1], [True]], "malformed hierarchy payload: 'ancestors' must be a list of lists"),
-    ("ancestors", [[1.0], []], "malformed hierarchy payload: 'ancestors' must be a list of lists"),
-    ("ancestors", [[1], "1"], "malformed hierarchy payload: 'ancestors' must be a list of lists"),
+    ("types", "ab", "malformed hierarchy payload: 'types' must be a list of strings, got 'ab'"),
+    ("types", {"a": 1, "b": 2}, "malformed hierarchy payload: 'types' must be a list of strings, "
+                                "got {'a': 1, 'b': 2}"),
+    ("types", ["a", 1], "malformed hierarchy payload: 'types' must be a list of strings, "
+                        "got ['a', 1]; item [1] is 1"),
+    ("links", "ab", "malformed hierarchy payload: 'links' must be a list, got 'ab'"),
+    ("links", [["a", "b", "child_of"], "abc"], "link 1: must be a list of three strings, got 'abc'"),
+    ("links", [["a", "b"]], "link 0: must be a list of three strings, got ['a', 'b']"),
+    ("links", [["a", "b", "child_of", "x"]],
+     "link 0: must be a list of three strings, got ['a', 'b', 'child_of', 'x']"),
+    ("links", [["a", 1, "child_of"]], "link 0: must be a list of three strings, got ['a', 1, 'child_of']"),
+    ("ancestors", [[1], [True]], "malformed hierarchy payload: 'ancestors' must be a list of lists "
+                                 "of integers or null, got [[1], [True]]; item [1][0] is True"),
+    ("ancestors", [[1.0], []], "malformed hierarchy payload: 'ancestors' must be a list of lists "
+                               "of integers or null, got [[1.0], []]; item [0][0] is 1.0"),
+    ("ancestors", [[1], "1"], "malformed hierarchy payload: 'ancestors' must be a list of lists "
+                              "of integers or null, got [[1], '1']; item [1] is '1'"),
+    # the whole payload: these once raised AttributeError on .get
+    (None, [], "serialized hierarchy must be an object, got []"),
+    (None, "x", "serialized hierarchy must be an object, got 'x'"),
+    (None, 1, "serialized hierarchy must be an object, got 1"),
+    (None, 1.0, "serialized hierarchy must be an object, got 1.0"),
+    (None, None, "serialized hierarchy must be an object, got None"),
+    (None, True, "serialized hierarchy must be an object, got True"),
 ])
 def test_payload_fields_are_not_coerced(key, value, message):
     # a types string once loaded as one type per character, and ancestor
     # values went through int()
     data = build([("a", "b", "child_of")]).to_dict()
-    data[key] = value
+    if key is None:
+        data = value
+    else:
+        data[key] = value
     with pytest.raises(HierarchyError) as exc:
         TypeHierarchy.from_dict(data, source="h.json")
-    assert str(exc.value).startswith(f"h.json: {message}")
+    assert str(exc.value) == f"h.json: {message}"
 
 
 def test_load_sniffs_json_vs_links(tmp_path):

@@ -653,7 +653,7 @@ def test_checkpoint_version_must_be_the_integer_one(tmp_path, version):
         fh.write(json.dumps(header).encode("utf-8") + b"\n" + blob)
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(path)
-    assert str(exc.value) == f"{path}: unsupported checkpoint version {version!r}"
+    assert str(exc.value) == f"{path}: header 'version' must be an integer, got {version!r}"
 
 
 def test_checkpoint_header_validation():
