@@ -23,7 +23,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .errors import HiertypeError, located_decode_errors
+from .errors import HiertypeError, text_lines
 from .evaluation import evaluate_model
 from .hierarchy import (
     EntityTypeTable,
@@ -172,15 +172,11 @@ def _cmd_stats(args) -> int:
 
 def _load_allowed_pairs(path: str) -> set[tuple[str, str]]:
     allowed = set()
-    with located_decode_errors(path, CorpusError), open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            fields = s.split("\t")
-            if len(fields) < 2:
-                raise CorpusError(f"{path}:{line_no}: expected child<TAB>parent")
-            allowed.add((fields[0], fields[1]))
+    for line_no, line in text_lines(path, CorpusError, comments=True):
+        fields = line.strip().split("\t")
+        if len(fields) < 2:
+            raise CorpusError(f"{path}:{line_no}: expected child<TAB>parent")
+        allowed.add((fields[0], fields[1]))
     return allowed
 
 
@@ -244,8 +240,13 @@ def _cmd_train(args) -> int:
 def _load_checkpoint_for(args):
     ckpt = load_checkpoint(args.model)
     h = load_hierarchy(args.hierarchy)
-    if tuple(h.type_names) != ckpt.type_names:
-        raise CorpusError("hierarchy does not match the checkpoint's type inventory")
+    if h.type_names != ckpt.type_names:
+        pairs = enumerate(zip(h.type_names, ckpt.type_names))
+        diff = next((f"type {i} is {a!r} in the hierarchy, {b!r} in the checkpoint"
+                     for i, (a, b) in pairs if a != b),
+                    f"the hierarchy has {len(h)} types, the checkpoint {len(ckpt.type_names)}")
+        raise CorpusError(f"hierarchy {args.hierarchy} does not match the type inventory "
+                          f"of checkpoint {args.model}: {diff}")
     return ckpt, h
 
 

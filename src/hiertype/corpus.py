@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import HiertypeError, expect, located_decode_errors, parse_json
+from .errors import HiertypeError, expect, parse_json, starts_json, text_lines
 from .hierarchy import TypeHierarchy, TypeId
 
 log = logging.getLogger(__name__)
@@ -144,23 +144,22 @@ class EmbeddingTable:
         if dim < 1:
             raise EmbeddingError(f"embedding dimension must be positive, got {dim}")
         first, duplicates = {}, []  # token -> its values; (line number, token)
-        try:  # a ValueError (UnicodeDecodeError is one) hands the file over
-            with open(path, encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh, start=1):
-                    head = line.split(None, 1)
-                    if len(head) == 2 and head[0] not in first:
-                        first[head[0]] = head[1]
-                    elif head and len(line.split()) != dim + 1:  # a lone token too
-                        raise ValueError
-                    elif head:
-                        duplicates.append((line_no, head[0]))
+        try:  # a ValueError, or a located decode fault, hands the file over
+            for line_no, line in text_lines(path, EmbeddingError):
+                head = line.split(None, 1)
+                if len(head) == 2 and head[0] not in first:
+                    first[head[0]] = head[1]
+                elif len(line.split()) != dim + 1:  # a lone token too
+                    raise ValueError
+                else:
+                    duplicates.append((line_no, head[0]))
             if not first:
                 raise ValueError
             matrix = np.loadtxt(list(first.values()), np.float64, comments=None, ndmin=2)
             finite = np.isfinite(matrix.min()) and np.isfinite(matrix.max())
             if matrix.shape != (len(first), dim) or not finite:
                 raise ValueError
-        except ValueError:
+        except (ValueError, EmbeddingError):
             return cls._load_per_line(path, dim)
         for line_no, token in duplicates:
             log.warning("%s:%d: duplicate token %r, keeping first", path, line_no, token)
@@ -169,34 +168,23 @@ class EmbeddingTable:
     @classmethod
     def _load_per_line(cls, path: str, dim: int) -> "EmbeddingTable":
         """The reference semantics: every value goes through ``float()``."""
-        tokens: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
+        rows: dict[str, list[float]] = {}  # token -> its values, in file order
         line_nos: list[int] = []
-        with located_decode_errors(path, EmbeddingError), open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                token, values = parts[0], parts[1:]
-                if len(values) != dim:
-                    raise EmbeddingError(
-                        f"{path}:{line_no}: expected {dim} values, got {len(values)}"
-                    )
-                if token in seen:
-                    log.warning("%s:%d: duplicate token %r, keeping first", path, line_no, token)
-                    continue
-                try:
-                    row = [float(v) for v in values]
-                except ValueError as exc:
-                    raise EmbeddingError(f"{path}:{line_no}: {exc}") from exc
-                seen.add(token)
-                tokens.append(token)
-                rows.append(row)
-                line_nos.append(line_no)
-        if not tokens:
+        for line_no, line in text_lines(path, EmbeddingError):
+            token, *values = line.split()
+            if len(values) != dim:
+                raise EmbeddingError(f"{path}:{line_no}: expected {dim} values, got {len(values)}")
+            if token in rows:
+                log.warning("%s:%d: duplicate token %r, keeping first", path, line_no, token)
+                continue
+            try:
+                rows[token] = [float(v) for v in values]
+            except ValueError as exc:
+                raise EmbeddingError(f"{path}:{line_no}: {exc}") from exc
+            line_nos.append(line_no)
+        if not rows:
             raise EmbeddingError(f"{path}: no embeddings found")
-        matrix = np.array(rows, dtype=np.float64)
+        tokens, matrix = list(rows), np.array(list(rows.values()), dtype=np.float64)
         # min and max propagate nan and reach +-inf without a temporary
         if not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
             bad = int(np.flatnonzero(~np.isfinite(matrix).all(axis=1))[0])
@@ -209,15 +197,11 @@ class EmbeddingTable:
 
 
 def read_corpus(path: str) -> list[CorpusRecord]:
-    """JSONL records when the text starts with ``{``, else TSV rows; a
-    faulty line is named by ``path:line``."""
-    with located_decode_errors(path, CorpusError), open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    jsonl = text.lstrip().startswith("{")
+    """JSONL records when the text starts with ``{``, else TSV rows with
+    ``#`` comments; a faulty line is named by ``path:line``."""
+    jsonl = starts_json(path, CorpusError)
     records = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or (not jsonl and line.startswith("#")):
-            continue
+    for line_no, line in text_lines(path, CorpusError, comments=not jsonl):
         where = f"{path}:{line_no}"
         row = parse_json(line, where, CorpusError) if jsonl else line.split("\t")
         try:

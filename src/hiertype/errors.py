@@ -1,8 +1,11 @@
-"""Shared exception base, and the one JSON input path: ``parse_json`` holds
-the package's one ``json.loads``, and readers declare each JSON field they
-use with ``expect``.  Both raise the reader's own error, so the CLI exits 2.
-A shape is ``str``; ``int`` (exact, not bool); ``float`` (finite, not bool);
-``dict``; ``list``; ``[shape]``; ``(shape, ...)``, a fixed list or tuple; or
+"""Shared exception base and the two input paths; both raise the reader's
+own error, so the CLI exits 2.  Text: ``text_lines`` and ``read_text`` open
+every text file read, as UTF-8 without a leading byte-order mark, with only
+``\n``, ``\r\n`` and ``\r`` ending a line, and a byte that does not decode
+located at its line.  JSON: ``parse_json`` holds the one ``json.loads``, and
+readers declare each JSON field they use with ``expect``.  A shape is
+``str``; ``int`` (exact, not bool); ``float`` (finite, not bool); ``dict``;
+``list``; ``[shape]``; ``(shape, ...)``, a fixed list or tuple; or
 ``Optional(shape)``, which also takes null."""
 
 from __future__ import annotations
@@ -25,13 +28,41 @@ def located_decode_errors(path: str, error: type[HiertypeError]) -> Iterator[Non
     try:
         yield
     except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
+        # lines are counted as text_lines counts them: latin-1 decodes any
+        # byte, and no UTF-8 sequence holds a line end byte
+        with open(path, encoding="latin-1") as fh:
+            for line_no, line in enumerate(fh, start=1):
                 try:
-                    raw.decode("utf-8")
+                    line.encode("latin-1").decode("utf-8")
                 except UnicodeDecodeError:
                     break
         raise error(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from exc
+
+
+def text_lines(path: str, error: type[HiertypeError],
+               comments: bool = False) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each non-blank line of ``path``, without
+    its line end; with ``comments``, a line whose first non-blank character
+    is ``#`` is skipped too."""
+    with located_decode_errors(path, error), open(path, encoding="utf-8-sig") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            s = line.lstrip()
+            if s and not (comments and s[0] == "#"):
+                yield line_no, line.rstrip("\n")
+
+
+def read_text(path: str, error: type[HiertypeError]) -> str:
+    """The whole text of ``path``, blank lines included, so that a JSON
+    parser's line and column numbers stay exact."""
+    with located_decode_errors(path, error), open(path, encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
+def starts_json(path: str, error: type[HiertypeError]) -> bool:
+    """The one JSON-or-text rule: is the first non-blank character ``{``?"""
+    for _, line in text_lines(path, error):
+        return line.lstrip().startswith("{")
+    return False
 
 
 def parse_json(text: str, where: str, error: type[HiertypeError]) -> object:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import HiertypeError, Optional, expect, located_decode_errors, parse_json
+from .errors import HiertypeError, Optional, expect, parse_json, read_text, starts_json, text_lines
 
 log = logging.getLogger(__name__)
 
@@ -144,7 +144,8 @@ class TypeHierarchy:
     """Validated, immutable type DAG with a precomputed ancestor closure.
 
     Each link is a ``(child, parent, kind)`` triple whose kind is a
-    ``LinkKind`` or a file token; a faulty link is named by its index."""
+    ``LinkKind`` or a file token; a faulty link is named by its index, or
+    by ``source:line`` when ``line_nos`` gives each link's line."""
 
     def __init__(
         self,
@@ -152,6 +153,7 @@ class TypeHierarchy:
         extra_types: Sequence[str] = (),
         source: str = "<memory>",
         name_order: Sequence[str] | None = None,
+        line_nos: Sequence[int] | None = None,
     ):
         names: list[str] = []
         index: dict[str, int] = {}
@@ -180,6 +182,8 @@ class TypeHierarchy:
             try:
                 child, parent, kind = _resolve_link(*link)
             except HierarchyError as exc:
+                if line_nos is not None:
+                    raise HierarchyParseError(source, line_nos[i], str(exc)) from exc
                 raise HierarchyError(f"{source}: link {i}: {exc}") from exc
             if name_order is not None:
                 for name in (child, parent):
@@ -396,32 +400,20 @@ class TypeHierarchy:
 
     @classmethod
     def load(cls, path: str) -> "TypeHierarchy":
-        with located_decode_errors(path, HierarchyError), open(path, encoding="utf-8") as fh:
-            text = fh.read()
-        if text.lstrip().startswith("{"):
-            return cls.from_dict(parse_json(text, path, HierarchyError), source=path)
-        raw, isolated = _parse_links_text(text, path)
-        return cls(raw, extra_types=isolated, source=path)
-
-
-def _parse_links_text(text: str, source: str) -> tuple[list[RawLink], list[str]]:
-    raw: list[RawLink] = []
-    isolated: list[str] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        s = line.strip()
-        if not s or s.startswith("#"):
-            continue
-        fields = s.split("\t")
-        if len(fields) == 1:
-            isolated.append(fields[0].strip())
-            continue
-        if len(fields) != 3:
-            raise HierarchyParseError(source, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
-        try:
-            raw.append(_resolve_link(*(f.strip() for f in fields)))
-        except HierarchyError as exc:
-            raise HierarchyParseError(source, line_no, str(exc)) from exc
-    return raw, isolated
+        if starts_json(path, HierarchyError):
+            return cls.from_dict(parse_json(read_text(path, HierarchyError), path, HierarchyError),
+                                 source=path)
+        links, line_nos, isolated = [], [], []
+        for line_no, line in text_lines(path, HierarchyError, comments=True):
+            fields = [f.strip() for f in line.strip().split("\t")]
+            if len(fields) == 1:
+                isolated.append(fields[0])
+            elif len(fields) == 3:
+                links.append(fields)
+                line_nos.append(line_no)
+            else:
+                raise HierarchyParseError(path, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+        return cls(links, extra_types=isolated, source=path, line_nos=line_nos)
 
 
 def load_hierarchy(path: str) -> TypeHierarchy:
@@ -474,22 +466,15 @@ class EntityTypeTable:
     @classmethod
     def load(cls, path: str) -> "EntityTypeTable":
         table: dict[str, set[str]] = {}
-        with located_decode_errors(path, HierarchyError), open(path, encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                s = line.strip()
-                if not s or s.startswith("#"):
-                    continue
-                fields = s.split("\t")
-                if len(fields) == 1:
-                    entity, type_field = fields[0], ""
-                elif len(fields) == 2:
-                    entity, type_field = fields
-                else:
-                    raise HierarchyParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
-                if not entity:
-                    raise HierarchyParseError(path, line_no, "empty entity id")
-                types = {t.strip() for t in type_field.split(",") if t.strip()}
-                table.setdefault(entity, set()).update(types)
+        for line_no, line in text_lines(path, HierarchyError, comments=True):
+            fields = line.strip().split("\t")
+            if len(fields) > 2:
+                raise HierarchyParseError(path, line_no, f"expected 2 tab-separated fields, got {len(fields)}")
+            entity, type_field = (fields + [""])[:2]
+            if not entity:
+                raise HierarchyParseError(path, line_no, "empty entity id")
+            types = {t.strip() for t in type_field.split(",") if t.strip()}
+            table.setdefault(entity, set()).update(types)
         return cls(table)
 
 

@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import EmbeddingTable, LabeledExample, batch_iter
-from .errors import HiertypeError, located_decode_errors
+from .errors import HiertypeError, text_lines
 from .evaluation import evaluate_model
 from .hierarchy import TypeHierarchy
 from .model import (
@@ -219,15 +219,11 @@ def located_config(located: Mapping[str, tuple[str, str]], base: TrainConfig | N
 def load_train_config(path: str, base: TrainConfig | None = None) -> TrainConfig:
     """Flat ``key=value`` file with ``#`` comments and blank lines."""
     located: dict[str, tuple[str, str]] = {}
-    with located_decode_errors(path, ConfigError), open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            s = line.strip()
-            if not s or s.startswith("#"):
-                continue
-            key, sep, value = s.partition("=")
-            if not sep:
-                raise ConfigError(f"{path}:{line_no}: expected key=value, got {s!r}")
-            located[key.strip()] = (f"{path}:{line_no}", value.strip())
+    for line_no, line in text_lines(path, ConfigError, comments=True):
+        key, sep, value = line.strip().partition("=")
+        if not sep:
+            raise ConfigError(f"{path}:{line_no}: expected key=value, got {line.strip()!r}")
+        located[key.strip()] = (f"{path}:{line_no}", value.strip())
     return located_config(located, base)
 
 

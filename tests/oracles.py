@@ -351,10 +351,12 @@ def load_embeddings_per_line(path: str, dim: int, warnings: list[str]):
     warning is appended to ``warnings`` when the line is reached, so an
     error leaves the ones logged before it.  The file is read in text mode:
     a line that does not decode is reached after the lines of every earlier
-    decoded chunk, as in the package."""
+    decoded chunk, as in the package.  A leading byte-order mark is dropped,
+    and ``\n``, ``\r\n`` and ``\r`` end a line, also where an undecodable
+    byte is located."""
     tokens, rows, line_nos, seen = [], [], [], set()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 parts = line.split()
                 if not parts:
@@ -375,10 +377,10 @@ def load_embeddings_per_line(path: str, dim: int, warnings: list[str]):
                 rows.append(row)
                 line_nos.append(line_no)
     except UnicodeDecodeError as exc:
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
+        with open(path, encoding="latin-1") as fh:  # one str char per byte
+            for line_no, line in enumerate(fh, start=1):
                 try:
-                    raw.decode("utf-8")
+                    line.encode("latin-1").decode("utf-8")
                 except UnicodeDecodeError:
                     break
         raise EmbeddingFileError(f"{path}:{line_no}: not valid UTF-8: {exc.reason}") from exc

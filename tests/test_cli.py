@@ -50,6 +50,25 @@ def test_json_is_parsed_only_by_parse_json():
     assert users == {"errors.py"}
 
 
+def test_text_files_are_read_only_through_errors():
+    # errors.text_lines is the one text route: it owns the encoding, the
+    # byte-order mark, the line ends and the located decode fault
+    repo = Path(__file__).resolve().parents[1]
+    splitters, readers = set(), set()
+    for path in sorted((repo / "src" / "hiertype").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("splitlines", "read_text"):
+                splitters.add(path.name)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                assert all(isinstance(m, ast.Constant) for m in modes), (path.name, node.lineno)
+                mode = modes[0].value if modes else "r"
+                if "b" not in mode and ("+" in mode or not set(mode) & set("wax")):
+                    readers.add(path.name)
+    assert splitters == set()
+    assert readers == {"errors.py"}
+
+
 @pytest.fixture
 def task(tmp_path):
     """Micro end-to-end task: two separable types plus their parents."""
@@ -280,6 +299,20 @@ def test_label_pipeline(tmp_path, capsys):
     assert set(obj["types"]) == {"cat", "animal"}
 
 
+def test_label_reads_its_own_output(tmp_path):
+    # the output holds \x85 and \u2028 unescaped; neither may end a line
+    links = tmp_path / "links.tsv"
+    links.write_text(LINKS, encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"tokens": ["x\u0085y", "a\u2028cat"], "span": [1, 1],
+                                  "types": ["cat"]}) + "\n", encoding="utf-8")
+    first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+    for src, out in ((corpus, first), (first, second)):
+        assert main(["label", "--hierarchy", str(links), "--corpus", str(src), "--out", str(out)]) == 0
+    assert second.read_bytes() == first.read_bytes()
+    assert "\u2028".encode("utf-8") in first.read_bytes()
+
+
 def test_label_rejects_a_types_string(tmp_path, capsys):
     # "ab" once labeled the mention with the types 'a' and 'b'
     links = tmp_path / "links.tsv"
@@ -435,9 +468,23 @@ def test_eval_rejects_mismatched_hierarchy(task, tmp_path, capsys):
     model = run_train(task)
     other = tmp_path / "other.tsv"
     other.write_text(LINKS + "extra\tthing\tchild_of\n", encoding="utf-8")
+    capsys.readouterr()
     assert main(["eval", "--model", model, "--corpus", task["dev"],
                  "--hierarchy", str(other)]) == 2
-    assert "type inventory" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"error: hierarchy {other} does not match the type inventory "
+                                       f"of checkpoint {model}: the hierarchy has 5 types, the checkpoint 4\n")
+
+
+def test_hierarchy_mismatch_names_the_first_type_that_differs(task, tmp_path, capsys):
+    model = run_train(task)
+    other = tmp_path / "other.tsv"
+    other.write_text("car\tthing\tchild_of\ncat\tanimal\tchild_of\n", encoding="utf-8")
+    capsys.readouterr()
+    for argv in (["eval", "--corpus", task["dev"]], ["score", "--text", "a meow", "--span", "1", "1"]):
+        assert main([*argv, "--model", model, "--hierarchy", str(other)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: hierarchy {other} does not match the type inventory of checkpoint {model}: "
+            "type 0 is 'car' in the hierarchy, 'cat' in the checkpoint\n"), argv
 
 
 def test_eval_rejects_malformed_checkpoint_tensor_list(task, tmp_path, capsys):

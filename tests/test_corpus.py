@@ -1,3 +1,4 @@
+import json
 import logging
 
 import numpy as np
@@ -11,6 +12,7 @@ from hiertype import (
     CorpusRecord,
     EmbeddingError,
     EmbeddingTable,
+    EntityTypeTable,
     LabeledExample,
     Mention,
     TypeHierarchy,
@@ -18,10 +20,11 @@ from hiertype import (
     distant_label,
     examples_to_records,
     label_records,
+    load_train_config,
     read_corpus,
     write_corpus,
 )
-from hiertype.cli import main as cli_main
+from hiertype.cli import _load_allowed_pairs, main as cli_main
 
 
 @pytest.fixture
@@ -396,6 +399,74 @@ def test_jsonl_types_and_entity_id_are_not_coerced(tmp_path, field, message):
     with pytest.raises(CorpusError) as exc:
         read_corpus(str(p))
     assert str(exc.value) == f"{p}:2: {message}"
+
+
+# ----------------------------------------------------------------------
+# text inputs: byte-order mark, line ends, line numbers
+
+
+def _embeddings(path):
+    emb = EmbeddingTable.load(path, dim=2)
+    return emb.tokens, emb.matrix.tobytes()
+
+
+# each text format, one file of it, and a reader whose result compares by value
+TEXT_FORMATS = {
+    "config": ("# trainer\ndim=4\nseed=3\n", load_train_config),
+    "links": ("# header\na\tb\tchild_of\nlonely\n", lambda p: TypeHierarchy.load(p).to_dict()),
+    "hierarchy json": (json.dumps(TypeHierarchy.from_links([("a", "b", "child_of")]).to_dict(), indent=1),
+                       lambda p: TypeHierarchy.load(p).to_dict()),
+    "entity table": ("e1\tA,B\ne2\tB\n",
+                     lambda p: {e: t.types_of(e) for t in [EntityTypeTable.load(p)] for e in t.entities()}),
+    "allowed pairs": ("A\tB\nB\tC\n", _load_allowed_pairs),
+    "tsv corpus": ("e1\t1\t1\tthe cat sat\tcat\n", read_corpus),
+    "jsonl corpus": ('{"tokens":["a"],"span":[0,0],"types":["t"]}\n', read_corpus),
+    # 1_0 is a literal only float() reads, so that file takes the per-line route
+    "embeddings one pass": ("a 1 2\nb 3 4\n", _embeddings),
+    "embeddings per line": ("a 1 2\nb 1_0 4\n", _embeddings),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TEXT_FORMATS))
+def test_a_byte_order_mark_is_dropped(tmp_path, fmt, per_line_loads):
+    text, read = TEXT_FORMATS[fmt]
+    p = tmp_path / "input"
+    p.write_bytes(text.encode("utf-8"))
+    plain = read(str(p))
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(str(p)) == plain
+    assert len(per_line_loads) == 2 * (fmt == "embeddings per line")
+
+
+def test_corpus_round_trips_tokens_holding_unicode_line_separators(tmp_path):
+    # str.splitlines() breaks at each of these; only \n, \r\n and \r end a line
+    recs = [CorpusRecord(tokens=(f"x{c}y", "z"), span=(0, 1), entity_id=f"e{c}", types=(f"t{c}",))
+            for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"]
+    p = tmp_path / "corpus.jsonl"
+    write_corpus(str(p), recs)
+    assert read_corpus(str(p)) == recs
+
+
+def test_a_form_feed_in_a_tsv_field_does_not_shift_line_numbers(tmp_path):
+    p = tmp_path / "corpus.tsv"
+    p.write_text("e1\t0\t0\ta\tcat\ne2\t0\t0\tb\tcat\f\ne3\t0\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as exc:
+        read_corpus(str(p))
+    assert str(exc.value) == f"{p}:3: expected 4 or 5 tab-separated fields, got 2"
+
+
+def test_tsv_comments_may_be_indented(tmp_path):
+    p = tmp_path / "corpus.tsv"
+    p.write_text("  # note\ne1\t0\t0\ta\n", encoding="utf-8")
+    assert read_corpus(str(p)) == [CorpusRecord(tokens=("a",), span=(0, 0), entity_id="e1")]
+
+
+def test_carriage_return_lines_locate_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "emb.txt"
+    p.write_bytes(b"a 1 2\rb 3 4\rc\xff 5 6\r")
+    with pytest.raises(EmbeddingError) as exc:
+        EmbeddingTable.load(str(p), dim=2)
+    assert str(exc.value) == f"{p}:3: not valid UTF-8: invalid start byte"
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from hiertype import (
     load_hierarchy,
     write_links,
 )
+import hiertype.hierarchy as hierarchy_module
 
 from generators import random_dag_links
 from oracles import is_acyclic, reachable
@@ -253,6 +254,24 @@ def test_parse_rejects_empty_names_and_bad_kinds(tmp_path):
     p.write_text("a\tb\tnonsense\n", encoding="utf-8")
     with pytest.raises(HierarchyParseError):
         load_hierarchy(str(p))
+
+
+def test_a_form_feed_in_a_link_field_does_not_shift_line_numbers(tmp_path):
+    p = tmp_path / "links.tsv"
+    p.write_text("a\tb\tchild_of\nc\fd\tb\tchild_of\ne\tb\n", encoding="utf-8")
+    with pytest.raises(HierarchyParseError) as exc:
+        load_hierarchy(str(p))
+    assert str(exc.value) == f"{p}:3: expected 3 tab-separated fields, got 2"
+
+
+def test_each_link_of_a_links_file_is_resolved_once(tmp_path, monkeypatch):
+    calls = []
+    resolve = hierarchy_module._resolve_link
+    monkeypatch.setattr(hierarchy_module, "_resolve_link", lambda *link: calls.append(link) or resolve(*link))
+    p = tmp_path / "links.tsv"
+    p.write_text("a\tb\tchild_of\nc\tb\tparent_of\nlonely\nb\tx\tequivalence\n", encoding="utf-8")
+    assert len(load_hierarchy(str(p)).links) == 3
+    assert calls == [("a", "b", "child_of"), ("c", "b", "parent_of"), ("b", "x", "equivalence")]
 
 
 def test_duplicate_links_collapse_with_warning(caplog):
