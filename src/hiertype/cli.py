@@ -23,7 +23,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .errors import HiertypeError, text_lines
+from .errors import HiertypeError, check_output, text_lines, write_output
 from .evaluation import evaluate_model
 from .hierarchy import (
     EntityTypeTable,
@@ -155,6 +155,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_build_hierarchy(args) -> int:
+    check_output(args.out, "--out", HiertypeError)
     h = load_hierarchy(args.links)
     h.save(args.out)
     log.info("wrote %d types, %d links to %s", len(h), len(h.links), args.out)
@@ -181,6 +182,7 @@ def _load_allowed_pairs(path: str) -> set[tuple[str, str]]:
 
 
 def _cmd_derive_links(args) -> int:
+    check_output(args.out, "--out", HiertypeError)
     table = EntityTypeTable.load(args.entities)
     allowed = _load_allowed_pairs(args.allow) if args.allow else None
     links = derive_cooccurrence_links(table, args.threshold, allowed)
@@ -190,6 +192,7 @@ def _cmd_derive_links(args) -> int:
 
 
 def _cmd_label(args) -> int:
+    check_output(args.out, "--out", HiertypeError)
     h = load_hierarchy(args.hierarchy)
     records = read_corpus(args.corpus)
     examples, skipped = label_records(h, records)
@@ -199,6 +202,9 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    history_path = args.out + ".history.tsv" if args.history is None else args.history
+    check_output(args.out, "--out", HiertypeError)
+    check_output(history_path, "--history", HiertypeError)
     cfg = load_train_config(args.config)
     if args.overrides:
         located = {}
@@ -230,7 +236,6 @@ def _cmd_train(args) -> int:
 
     result = train(train_examples, dev_examples, h, emb, cfg)
     save_checkpoint(args.out, make_checkpoint(result.params, cfg, h.type_names, emb))
-    history_path = args.history or args.out + ".history.tsv"
     write_history(history_path, result.history)
     log.info("best epoch %d, dev map %.6f; checkpoint %s, history %s",
              result.best_epoch, result.best_dev_map, args.out, history_path)
@@ -251,6 +256,8 @@ def _load_checkpoint_for(args):
 
 
 def _cmd_eval(args) -> int:
+    if args.per_mention is not None:
+        check_output(args.per_mention, "--per-mention", HiertypeError)
     ckpt, h = _load_checkpoint_for(args)
     examples, skipped = label_records(h, read_corpus(args.corpus))
     if skipped:
@@ -260,11 +267,10 @@ def _cmd_eval(args) -> int:
     report = evaluate_model(
         examples, ckpt.params, ckpt.embedding_table(), ckpt.encoder_mode, ckpt.mention_score_kind
     )
+    if args.per_mention is not None:  # written first, so a failed write prints no map=
+        write_output(args.per_mention, "--per-mention", HiertypeError,
+                     (f"{i}\t{ap!r}\n" for i, ap in enumerate(report.per_mention_ap)))
     print(report.summary_line())
-    if args.per_mention:
-        with open(args.per_mention, "w", encoding="utf-8") as fh:
-            for i, ap in enumerate(report.per_mention_ap):
-                fh.write(f"{i}\t{ap!r}\n")
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import HiertypeError, expect, parse_json, starts_json, text_lines
+from .errors import HiertypeError, expect, parse_json, starts_json, text_lines, write_output
 from .hierarchy import TypeHierarchy, TypeId
 
 log = logging.getLogger(__name__)
@@ -231,15 +231,10 @@ def _tsv_record(fields: list[str]) -> CorpusRecord:
 
 def write_corpus(path: str, records: Iterable[CorpusRecord]) -> None:
     """Write records as JSONL with a fixed key order (deterministic bytes)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            obj = {
-                "tokens": list(rec.tokens),
-                "span": [rec.span[0], rec.span[1]],
-                "entity_id": rec.entity_id,
-                "types": list(rec.types),
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    rows = ({"tokens": list(r.tokens), "span": [r.span[0], r.span[1]], "entity_id": r.entity_id,
+             "types": list(r.types)} for r in records)
+    write_output(path, "corpus", CorpusError,
+                 (json.dumps(row, ensure_ascii=False, separators=(",", ":")) + "\n" for row in rows))
 
 
 def examples_to_records(examples: Iterable[LabeledExample]) -> list[CorpusRecord]:

@@ -1,20 +1,22 @@
-"""Shared exception base and the two input paths; both raise the reader's
-own error, so the CLI exits 2.  Text: ``text_lines`` and ``read_text`` open
-every text file read, as UTF-8 without a leading byte-order mark, with only
-``\n``, ``\r\n`` and ``\r`` ending a line, and a byte that does not decode
-located at its line.  JSON: ``parse_json`` holds the one ``json.loads``, and
-readers declare each JSON field they use with ``expect``.  A shape is
-``str``; ``int`` (exact, not bool); ``float`` (finite, not bool); ``dict``;
-``list``; ``[shape]``; ``(shape, ...)``, a fixed list or tuple; or
-``Optional(shape)``, which also takes null."""
+"""Shared exception base, the two input paths and the one output path; all
+raise the caller's own error, so the CLI exits 2.  Text: ``text_lines`` and
+``read_text`` open every text file read, as UTF-8 without a leading
+byte-order mark, with only ``\n``, ``\r\n`` and ``\r`` ending a line, and a
+byte that does not decode located at its line.  JSON: ``parse_json`` holds
+the one ``json.loads``, and readers declare each JSON field they use with
+``expect``.  A shape is ``str``; ``int`` (exact, not bool); ``float``
+(finite, not bool); ``dict``; ``list``; ``[shape]``; ``(shape, ...)``, a
+fixed list or tuple; or ``Optional(shape)``, which also takes null.  Output:
+``write_output`` writes every file, and ``check_output`` checks a target first."""
 
 from __future__ import annotations
 
 import json
+import os
 import reprlib
 import sys
-from contextlib import contextmanager
-from typing import Iterator, NamedTuple
+from contextlib import contextmanager, suppress
+from typing import Iterable, Iterator, NamedTuple
 
 
 class HiertypeError(Exception):
@@ -67,12 +69,47 @@ def starts_json(path: str, error: type[HiertypeError]) -> bool:
 
 def parse_json(text: str, where: str, error: type[HiertypeError]) -> object:
     """``json.loads``; a syntax fault, an integer longer than the interpreter
-    converts, or nesting beyond the parser's recursion limit raises ``error``
-    located at ``where``."""
+    converts, nesting beyond the parser's recursion limit, or an escaped lone
+    surrogate, which no UTF-8 output holds, raises ``error`` at ``where``."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
+        if "\\u" in text:  # only an escape yields a surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
+    except UnicodeEncodeError as exc:
+        raise error(f"{where}: invalid JSON: lone surrogate {exc.object[exc.start]!r}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise error(f"{where}: invalid JSON: {exc}") from exc
+
+
+def check_output(path: str, what: str, error: type[HiertypeError]) -> None:
+    """Raise ``error`` as ``cannot write {what} {path}: {reason}`` unless ``path`` can name a file."""
+    folder = os.path.dirname(path) or "."
+    reason = ("the path is empty" if not path else f"directory {folder} does not exist"
+              if not os.path.isdir(folder) else "it is a directory" if os.path.isdir(path) else "")
+    if reason:
+        raise error(f"cannot write {what} {path}: {reason}")
+
+
+def write_output(path: str, what: str, error: type[HiertypeError], chunks: Iterable,
+                 binary: bool = False) -> None:
+    """Write ``chunks``, UTF-8 text or bytes-like, to ``path`` through a
+    temporary file beside it.  That file replaces ``path`` once complete and
+    is removed on any exception, an interrupt too.  There is no fsync: the
+    old file survives a failing or killed process, not a power loss."""
+    check_output(path, what, error)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the mode open() gives
+        with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise error(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
+        raise
 
 
 class Optional(NamedTuple):

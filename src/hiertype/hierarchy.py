@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import HiertypeError, Optional, expect, parse_json, read_text, starts_json, text_lines
+from .errors import HiertypeError, Optional, expect, parse_json, read_text, starts_json, text_lines, write_output
 
 log = logging.getLogger(__name__)
 
@@ -385,9 +385,8 @@ class TypeHierarchy:
         return h
 
     def save(self, path: str) -> None:
-        payload = json.dumps(self.to_dict(), ensure_ascii=False, separators=(",", ":"))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
+        write_output(path, "hierarchy", HierarchyError,
+                     [json.dumps(self.to_dict(), ensure_ascii=False, separators=(",", ":")) + "\n"])
 
     @classmethod
     def from_links(
@@ -422,11 +421,8 @@ def load_hierarchy(path: str) -> TypeHierarchy:
 
 def write_links(path: str, links: Iterable[Link], header: str | None = None) -> None:
     """Write links in the one-per-line text format (deterministic bytes)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"# {header}\n")
-        for link in links:
-            fh.write(f"{link.child.name}\t{link.parent.name}\t{link.kind.value}\n")
+    rows = [f"{link.child.name}\t{link.parent.name}\t{link.kind.value}\n" for link in links]
+    write_output(path, "links", HierarchyError, ([f"# {header}\n"] if header else []) + rows)
 
 
 # ----------------------------------------------------------------------

@@ -68,7 +68,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import EmbeddingTable, Mention
-from .errors import HiertypeError, Optional, expect, located_decode_errors, parse_json
+from .errors import HiertypeError, Optional, expect, located_decode_errors, parse_json, write_output
 
 # sigma is clamped into [CLAMP, 1 - CLAMP] before log(1 - sigma)
 SIGMOID_CLAMP = 1e-12
@@ -273,11 +273,10 @@ def _check_word_vectors(word_vectors: np.ndarray, d: int) -> np.ndarray:
     return wv
 
 
-def cnn_forward_cached(p: ModelParams, word_vectors: Sequence[np.ndarray]) -> CnnCache:
-    """CNN + max-pool over a batch of sentences as one im2col GEMM."""
+def cnn_forward_cached(p: ModelParams, sents: Sequence[np.ndarray]) -> CnnCache:
+    """CNN + max-pool over (n, d) float64 sentences as one im2col GEMM."""
     w, d = p.filter_width, p.dim
     half = w // 2
-    sents = [_check_word_vectors(wv, d) for wv in word_vectors]
     if not sents:
         raise ModelError("cannot encode an empty batch")
     # segment i is half zero rows, then sentence i zero-padded (centred) to
@@ -630,11 +629,9 @@ def save_checkpoint(path: str, ckpt: Checkpoint) -> None:
         "vocab": list(ckpt.vocab),
         "tensors": [[n, table[n]] for n in [*params.tensors(), "word_emb"]],
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8"))
-        fh.write(b"\n")
-        for block in (params.flat, ckpt.word_emb):
-            fh.write(np.ascontiguousarray(block, dtype="<f8"))
+    head = json.dumps(header, ensure_ascii=False, separators=(",", ":")).encode("utf-8") + b"\n"
+    blocks = (np.ascontiguousarray(block, dtype="<f8") for block in (params.flat, ckpt.word_emb))
+    write_output(path, "checkpoint", CheckpointError, itertools.chain([head], blocks), binary=True)
 
 
 def _checked_header(path: str, line: bytes) -> tuple[dict, list]:

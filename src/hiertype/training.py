@@ -32,7 +32,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .corpus import EmbeddingTable, LabeledExample, batch_iter
-from .errors import HiertypeError, text_lines
+from .errors import HiertypeError, text_lines, write_output
 from .evaluation import evaluate_model
 from .hierarchy import TypeHierarchy
 from .model import (
@@ -508,9 +508,8 @@ class TrainResult:
 def write_history(path: str, history: Sequence[EpochMetrics]) -> None:
     """``epoch<TAB>train_loss<TAB>dev_map`` rows; floats via repr so the
     bytes round-trip exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in history:
-            fh.write(f"{m.epoch}\t{m.train_loss!r}\t{m.dev_map!r}\n")
+    write_output(path, "history", TrainingError,
+                 (f"{m.epoch}\t{m.train_loss!r}\t{m.dev_map!r}\n" for m in history))
 
 
 def _rng_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator, np.random.Generator]:

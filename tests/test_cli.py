@@ -1,6 +1,9 @@
 import ast
 import copy
+import errno
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -8,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hiertype import CheckpointError, CorpusError, HierarchyError, TypeHierarchy, load_checkpoint, \
-    read_corpus
-from hiertype.cli import main
+from hiertype import CheckpointError, CorpusError, EpochMetrics, HierarchyError, HiertypeError, \
+    TypeHierarchy, errors, load_checkpoint, read_corpus, save_checkpoint, training, write_corpus, \
+    write_history, write_links
+from hiertype.cli import build_parser, main
 
 import synthtask
 
@@ -67,6 +71,26 @@ def test_text_files_are_read_only_through_errors():
                     readers.add(path.name)
     assert splitters == set()
     assert readers == {"errors.py"}
+
+
+def test_files_are_written_only_through_errors():
+    # errors.write_output is the one output route: it owns the mode, the encoding
+    # and the moment the old file is replaced
+    repo = Path(__file__).resolve().parents[1]
+    writers = set()
+    for path in sorted((repo / "src" / "hiertype").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Name) and func.id == "open":
+                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+                if modes and set(modes[0].value) & set("wax+"):
+                    writers.add(path.name)
+            elif isinstance(func, ast.Attribute) and (
+                    func.attr in ("write_text", "write_bytes", "tofile", "savetxt")
+                    or isinstance(func.value, ast.Name) and func.value.id == "os"
+                    and func.attr in ("open", "replace", "rename")):
+                writers.add(path.name)
+    assert writers == {"errors.py"}
 
 
 @pytest.fixture
@@ -407,7 +431,7 @@ def test_train_set_overrides(task, tmp_path, capsys):
 def test_train_config_faults_name_their_location(task, tmp_path, capsys, route, item, message):
     config, extra = task["config"], ["--set", item]
     if route == "config":
-        text = open(task["config"], encoding="utf-8").read() + item + "\n"
+        text = Path(task["config"]).read_text(encoding="utf-8") + item + "\n"
         config, extra = tmp_path / "faulty.cfg", []
         config.write_text(text, encoding="utf-8")
         where = f"{config}:{len(text.splitlines())}"
@@ -692,7 +716,7 @@ def test_eval_on_a_mutated_checkpoint_exits_0_or_2(task, tmp_path, capsys):
 def test_train_rejects_nul_byte_in_config_embeddings_path(task, tmp_path, capsys):
     # found by the byte-mutation test below: open() raised a bare ValueError
     config = tmp_path / "nul.cfg"
-    config.write_bytes(open(task["config"], "rb").read().replace(b"emb.txt", b"emb\0.txt"))
+    config.write_bytes(Path(task["config"]).read_bytes().replace(b"emb.txt", b"emb\0.txt"))
     assert main(["train", "--config", str(config), "--hierarchy", task["links"],
                  "--train", task["train"], "--dev", task["dev"],
                  "--out", str(tmp_path / "x.ckpt")]) == 2
@@ -743,7 +767,7 @@ def test_cli_on_byte_mutated_inputs_exits_0_or_2(tmp_path, capsys):
         "config": (str(config), [*train[:2], "{}", *train[3:]]),
         "entities": (entities, ["derive-links", "--entities", "{}", "--out", out]),
     }
-    originals = {name: open(src, "rb").read() for name, (src, _) in targets.items()}
+    originals = {name: Path(src).read_bytes() for name, (src, _) in targets.items()}
     mutated = tmp_path / "mutated"
 
     @settings(max_examples=200)
@@ -772,7 +796,7 @@ def test_train_rejects_bad_numeric_settings(task, tmp_path, capsys, setting, key
 
 def test_train_rejects_negative_seed(task, tmp_path, capsys):
     negative_config = tmp_path / "negative.cfg"
-    negative_config.write_text(open(task["config"], encoding="utf-8").read() + "seed=-1\n",
+    negative_config.write_text(Path(task["config"]).read_text(encoding="utf-8") + "seed=-1\n",
                                encoding="utf-8")
     for config, extra in ((task["config"], ["--seed", "-1"]),
                           (task["config"], ["--set", "seed=-3"]),
@@ -883,7 +907,11 @@ def _checkpoint_holding(value, tmp_path, task):
 @pytest.mark.parametrize("value, reason", [
     ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
     ("[%s]" % ("1" * 5_000), "Exceeds the limit (4300 digits) for integer string conversion"),
-], ids=["deep", "long_int"])
+    # no UTF-8 output can hold one: label and build-hierarchy once ended in a
+    # UnicodeEncodeError traceback and a 0-byte --out file
+    ('["ok", "x\\udc80"]', "lone surrogate '\\udc80'"),
+    ('["\\ud83d\\ude00", "\\ud800"]', "lone surrogate '\\ud800'"),
+], ids=["deep", "long_int", "low_surrogate", "high_surrogate"])
 def test_json_the_parser_refuses_exits_2_with_its_location(task, tmp_path, capsys, route, value,
                                                            reason):
     # the parser's RecursionError, and its ValueError for an integer longer
@@ -894,6 +922,16 @@ def test_json_the_parser_refuses_exits_2_with_its_location(task, tmp_path, capsy
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {where}: invalid JSON: {reason}"), err
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_build_hierarchy_rejects_a_lone_surrogate_and_writes_nothing(tmp_path, capsys):
+    src, out = tmp_path / "h.json", tmp_path / "out.json"
+    src.write_text('{"format":"hiertype-hierarchy","version":1,"types":["a","\\ud800"],"links":[]}',
+                   encoding="utf-8")
+    assert main(["build-hierarchy", "--links", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {src}: invalid JSON: lone surrogate '\\ud800'\n"
+    assert not out.exists()
 
 
 CONFUSIONS = (True, 1, 1.0, "x", None, [], {})
@@ -978,3 +1016,170 @@ def test_type_confused_corpus_record_exits_2_with_its_location(tmp_path, capsys)
             assert err == f"error: {fault}\n"
 
     check()
+
+
+# ----------------------------------------------------------------------
+# outputs: checked before the work, replaced whole
+
+
+def _output_commands(tmp_path):
+    """(flag, argv) for each of the six outputs, with every input missing and
+    the output at ``{}``."""
+    missing = str(tmp_path / "missing.in")
+    return [
+        ("--out", ["build-hierarchy", "--links", missing, "--out", "{}"]),
+        ("--out", ["derive-links", "--entities", missing, "--out", "{}"]),
+        ("--out", ["label", "--hierarchy", missing, "--corpus", missing, "--out", "{}"]),
+        ("--out", ["train", "--config", missing, "--hierarchy", missing, "--train", missing,
+                   "--dev", missing, "--out", "{}"]),
+        ("--history", ["train", "--config", missing, "--hierarchy", missing, "--train", missing,
+                       "--dev", missing, "--out", str(tmp_path / "m.ckpt"), "--history", "{}"]),
+        ("--per-mention", ["eval", "--model", missing, "--corpus", missing, "--hierarchy", missing,
+                           "--per-mention", "{}"]),
+    ]
+
+
+@pytest.mark.parametrize("index", range(6), ids=["build-hierarchy", "derive-links", "label",
+                                                 "train-out", "train-history", "eval"])
+@pytest.mark.parametrize("fault", ["missing_dir", "file_as_dir", "empty", "directory"])
+def test_every_output_is_checked_before_any_input_is_read(tmp_path, capsys, index, fault):
+    (tmp_path / "plain.txt").write_text("x", encoding="utf-8")
+    target, reason = {
+        "missing_dir": (tmp_path / "nodir" / "o", f"directory {tmp_path / 'nodir'} does not exist"),
+        "file_as_dir": (tmp_path / "plain.txt" / "o", f"directory {tmp_path / 'plain.txt'} does not exist"),
+        "empty": ("", "the path is empty"),
+        "directory": (tmp_path, "it is a directory"),
+    }[fault]
+    flag, argv = _output_commands(tmp_path)[index]
+    assert main([str(target) if a == "{}" else a for a in argv]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {flag} {target}: {reason}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
+
+
+def test_train_checks_its_outputs_before_any_step(task, tmp_path, capsys, monkeypatch):
+    # a mistyped --out directory once cost the whole run: every epoch trained,
+    # then [Errno 2] without the flag
+    steps = []
+    adam_step = training.adam_step
+    monkeypatch.setattr(training, "adam_step", lambda *a, **k: steps.append(1) or adam_step(*a, **k))
+    run_train(task, out=str(tmp_path / "ok.ckpt"))
+    assert steps  # the counter sees the steps of a valid run
+    steps.clear()
+    bad = tmp_path / "missing" / "m.ckpt"
+    assert main(["train", "--config", task["config"], "--hierarchy", task["links"],
+                 "--train", task["train"], "--dev", task["dev"], "--out", str(bad)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write --out {bad}: directory {bad.parent} does not exist\n"
+    # the default history path is checked too
+    (tmp_path / "m.ckpt.history.tsv").mkdir()
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--config", task["config"], "--hierarchy", task["links"],
+                 "--train", task["train"], "--dev", task["dev"], "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: cannot write --history {out}.history.tsv: it is a directory\n"
+    assert steps == [] and not out.exists()
+
+
+def test_eval_writes_per_mention_before_it_prints_map(task, tmp_path, capsys, monkeypatch):
+    model = run_train(task)
+    capsys.readouterr()
+    monkeypatch.setattr(errors, "open", _failing_open(OSError(errno.ENOSPC, "No space left on device")),
+                        raising=False)
+    ap = tmp_path / "ap.tsv"
+    assert main(["eval", "--model", model, "--corpus", task["dev"], "--hierarchy", task["links"],
+                 "--per-mention", str(ap)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write --per-mention {ap}: No space left on device\n"
+    assert not ap.exists()
+
+
+class _FailingFile:
+    """Writes half of the first chunk, then raises ``exc``."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc = fh, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def writelines(self, chunks):
+        chunk = next(iter(chunks))
+        self.fh.write(chunk[:len(chunk) // 2])
+        self.fh.flush()
+        raise self.exc
+
+
+def _failing_open(exc):
+    real = open
+
+    def fake(file, mode="r", **kwargs):
+        fh = real(file, mode, **kwargs)
+        return _FailingFile(fh, exc) if "w" in mode else fh
+    return fake
+
+
+def _writers(task):
+    """(what, write(path)) for each of the six outputs."""
+    model = run_train(task)
+    ckpt = load_checkpoint(model)
+    h = TypeHierarchy.load(task["links"])
+    history = [EpochMetrics(epoch=1, train_loss=0.5, dev_map=0.25)] * 3
+    records = read_corpus(task["train"])
+
+    def per_mention(path):
+        args = build_parser().parse_args(["eval", "--model", model, "--corpus", task["dev"],
+                                          "--hierarchy", task["links"], "--per-mention", path])
+        args.handler(args)
+
+    return {
+        "checkpoint": ("checkpoint", lambda path: save_checkpoint(path, ckpt)),
+        "history": ("history", lambda path: write_history(path, history)),
+        "hierarchy": ("hierarchy", h.save),
+        "links": ("links", lambda path: write_links(path, h.links, header="links")),
+        "corpus": ("corpus", lambda path: write_corpus(path, records)),
+        "per-mention": ("--per-mention", per_mention),
+    }
+
+
+WRITERS = ["checkpoint", "history", "hierarchy", "links", "corpus", "per-mention"]
+
+
+@pytest.mark.parametrize("name", WRITERS)
+@pytest.mark.parametrize("exc", [KeyboardInterrupt(), OSError(errno.ENOSPC, "No space left on device")],
+                         ids=["interrupt", "disk_full"])
+def test_a_failed_write_keeps_the_old_file(task, tmp_path, capsys, monkeypatch, name, exc):
+    what, write = _writers(task)[name]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    target = out_dir / "target"
+    target.write_bytes(b"the previous good file\n")
+    monkeypatch.setattr(errors, "open", _failing_open(exc), raising=False)
+    if isinstance(exc, OSError):
+        with pytest.raises(HiertypeError) as info:
+            write(str(target))
+        assert str(info.value) == f"cannot write {what} {target}: No space left on device"
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            write(str(target))
+    assert target.read_bytes() == b"the previous good file\n"
+    assert [p.name for p in out_dir.iterdir()] == ["target"]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_fresh_output_gets_the_mode_open_gives(task, tmp_path, name):
+    write = _writers(task)[name][1]
+    umask = os.umask(0o027)
+    try:
+        write(str(tmp_path / "fresh"))
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE((tmp_path / "fresh").stat().st_mode) == 0o640
+    target = tmp_path / "again"
+    target.write_bytes(b"old")
+    write(str(target))
+    assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
