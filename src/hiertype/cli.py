@@ -145,6 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help exits 0 inside argparse
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
+        if getattr(args, "history", "") is None:  # train without --history
+            args.history = args.out + ".history.tsv"
+        for flag in ("out", "history", "per_mention"):  # every output, before any input is read
+            if getattr(args, flag, None) is not None:
+                check_output(getattr(args, flag), "--" + flag.replace("_", "-"), HiertypeError)
         return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -155,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_build_hierarchy(args) -> int:
-    check_output(args.out, "--out", HiertypeError)
     h = load_hierarchy(args.links)
     h.save(args.out)
     log.info("wrote %d types, %d links to %s", len(h), len(h.links), args.out)
@@ -182,7 +186,6 @@ def _load_allowed_pairs(path: str) -> set[tuple[str, str]]:
 
 
 def _cmd_derive_links(args) -> int:
-    check_output(args.out, "--out", HiertypeError)
     table = EntityTypeTable.load(args.entities)
     allowed = _load_allowed_pairs(args.allow) if args.allow else None
     links = derive_cooccurrence_links(table, args.threshold, allowed)
@@ -192,7 +195,6 @@ def _cmd_derive_links(args) -> int:
 
 
 def _cmd_label(args) -> int:
-    check_output(args.out, "--out", HiertypeError)
     h = load_hierarchy(args.hierarchy)
     records = read_corpus(args.corpus)
     examples, skipped = label_records(h, records)
@@ -202,9 +204,6 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    history_path = args.out + ".history.tsv" if args.history is None else args.history
-    check_output(args.out, "--out", HiertypeError)
-    check_output(history_path, "--history", HiertypeError)
     cfg = load_train_config(args.config)
     if args.overrides:
         located = {}
@@ -236,9 +235,9 @@ def _cmd_train(args) -> int:
 
     result = train(train_examples, dev_examples, h, emb, cfg)
     save_checkpoint(args.out, make_checkpoint(result.params, cfg, h.type_names, emb))
-    write_history(history_path, result.history)
+    write_history(args.history, result.history)
     log.info("best epoch %d, dev map %.6f; checkpoint %s, history %s",
-             result.best_epoch, result.best_dev_map, args.out, history_path)
+             result.best_epoch, result.best_dev_map, args.out, args.history)
     return EXIT_OK
 
 
@@ -256,8 +255,6 @@ def _load_checkpoint_for(args):
 
 
 def _cmd_eval(args) -> int:
-    if args.per_mention is not None:
-        check_output(args.per_mention, "--per-mention", HiertypeError)
     ckpt, h = _load_checkpoint_for(args)
     examples, skipped = label_records(h, read_corpus(args.corpus))
     if skipped:

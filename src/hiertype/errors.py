@@ -1,13 +1,12 @@
-"""Shared exception base, the two input paths and the one output path; all
-raise the caller's own error, so the CLI exits 2.  Text: ``text_lines`` and
-``read_text`` open every text file read, as UTF-8 without a leading
-byte-order mark, with only ``\n``, ``\r\n`` and ``\r`` ending a line, and a
-byte that does not decode located at its line.  JSON: ``parse_json`` holds
-the one ``json.loads``, and readers declare each JSON field they use with
-``expect``.  A shape is ``str``; ``int`` (exact, not bool); ``float``
-(finite, not bool); ``dict``; ``list``; ``[shape]``; ``(shape, ...)``, a
-fixed list or tuple; or ``Optional(shape)``, which also takes null.  Output:
-``write_output`` writes every file, and ``check_output`` checks a target first."""
+"""Shared exception base, the two input paths and the one output path; all raise
+the caller's own error, so the CLI exits 2.  Text: ``text_lines`` and ``read_text``
+open every text file read, as UTF-8 without a leading byte-order mark, with only
+``\n``, ``\r\n`` and ``\r`` ending a line, and a byte that does not decode located
+at its line.  JSON: ``parse_json`` holds the one ``json.loads``, and readers
+declare each JSON field they use with ``expect``.  A shape is ``str``; ``int``
+(exact, not bool); ``float`` (finite, not bool); ``dict``; ``list``; ``[shape]``;
+``(shape, ...)``, a fixed list or tuple; or ``Optional(shape)``, which also takes
+null.  Output: ``check_output`` checks a target, ``write_output`` writes it."""
 
 from __future__ import annotations
 
@@ -82,31 +81,43 @@ def parse_json(text: str, where: str, error: type[HiertypeError]) -> object:
         raise error(f"{where}: invalid JSON: {exc}") from exc
 
 
-def check_output(path: str, what: str, error: type[HiertypeError]) -> None:
-    """Raise ``error`` as ``cannot write {what} {path}: {reason}`` unless ``path`` can name a file."""
-    folder = os.path.dirname(path) or "."
-    reason = ("the path is empty" if not path else f"directory {folder} does not exist"
-              if not os.path.isdir(folder) else "it is a directory" if os.path.isdir(path) else "")
-    if reason:
-        raise error(f"cannot write {what} {path}: {reason}")
+def check_output(path: str, what: str, error: type[HiertypeError]) -> bool:
+    """Raise ``error`` as ``cannot write {what} {path}: {reason}`` unless
+    ``write_output`` can write ``path``; true if it writes it in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)  # a device or a FIFO
+    folder, real_folder = os.path.dirname(path) or ".", os.path.dirname(os.path.realpath(path))
+    for bad, reason in ((not path, "the path is empty"),
+                        (not os.path.exists(folder), f"directory {folder} does not exist"),
+                        (not os.path.isdir(folder), f"{folder} is not a directory"),
+                        (os.path.isdir(path), "it is a directory"),
+                        (os.path.exists(path) and not os.access(path, os.W_OK), "it is not writable"),
+                        (not in_place and not os.access(real_folder, os.W_OK | os.X_OK),
+                         f"directory {real_folder} is not writable")):
+        if bad:
+            raise error(f"cannot write {what} {path}: {reason}")
+    return in_place
 
 
 def write_output(path: str, what: str, error: type[HiertypeError], chunks: Iterable,
                  binary: bool = False) -> None:
-    """Write ``chunks``, UTF-8 text or bytes-like, to ``path`` through a
-    temporary file beside it.  That file replaces ``path`` once complete and
-    is removed on any exception, an interrupt too.  There is no fsync: the
-    old file survives a failing or killed process, not a power loss."""
-    check_output(path, what, error)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the mode open() gives
+    """Write ``chunks``, UTF-8 text or bytes-like, to ``path``: a device or a FIFO
+    in place, as ``open`` does; else (through a symlink) a temporary file with the
+    old file's mode, which replaces it once complete and is removed on any
+    exception.  No fsync: a killed process, not a power loss, keeps the old file."""
+    in_place, real = check_output(path, what, error), os.path.realpath(path)
+    tmp = path if in_place else f"{os.path.dirname(real)}/.{os.path.basename(real)}.{os.urandom(6).hex()}.tmp"
+    try:  # os.open's 0o666 less the umask is the mode open() gives a new file
+        fd = os.open(tmp, os.O_WRONLY | (os.O_TRUNC if in_place else os.O_CREAT | os.O_EXCL), 0o666)
         with open(fd, "wb") if binary else open(fd, "w", encoding="utf-8") as fh:
+            if os.path.isfile(real):
+                os.fchmod(fd, os.stat(real).st_mode & 0o7777)
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, real)
     except BaseException as exc:
-        with suppress(OSError):
-            os.unlink(tmp)
+        if not in_place:
+            with suppress(OSError):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise error(f"cannot write {what} {path}: {exc.strerror or exc}") from exc
         raise

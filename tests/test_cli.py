@@ -73,23 +73,50 @@ def test_text_files_are_read_only_through_errors():
     assert readers == {"errors.py"}
 
 
+_MODULE_OPENERS = {"io", "builtins", "codecs", "gzip", "bz2", "lzma", "tarfile", "zipfile"}
+
+
+def _writes_files(source: str) -> bool:
+    """Does ``source`` call anything that opens a file for writing or writes
+    one?  A mode that is not a constant counts as a write."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+        if name == "open" and owner != "os":
+            # open(file, mode) and module.open(file, mode); Path.open(mode)
+            index = 1 if isinstance(func, ast.Name) or owner in _MODULE_OPENERS else 0
+            modes = node.args[index:index + 1] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0].value if modes and isinstance(modes[0], ast.Constant) else "w" if modes else "r"
+            if not isinstance(mode, str) or set(mode) & set("wax+"):
+                return True
+        elif (name in ("write_text", "write_bytes", "tofile", "savetxt")
+              or owner == "os" and name in ("open", "fdopen", "replace", "rename", "write")
+              or owner in ("np", "numpy") and name.startswith("save")
+              or owner == "shutil" and (name.startswith("copy") or name == "move")):
+            return True
+    return False
+
+
+def test_the_write_guard_sees_every_way_to_write_a_file():
+    for source in ["open(p, 'w')", "open(p, mode)", "open(p, mode='a')", "open(p, 'r+b')",
+                   "Path(p).open('w')", "Path(p).open(mode)", "io.open(p, 'x')", "gzip.open(p, 'wt')",
+                   "os.fdopen(fd, 'w')", "os.open(p, flags)", "np.save(p, a)", "numpy.savez(p, a=a)",
+                   "a.tofile(p)", "Path(p).write_text(t)", "shutil.copyfile(a, b)", "shutil.move(a, b)"]:
+        assert _writes_files(source), source
+    for source in ["open(p)", "open(p, 'rb')", "open(p, encoding='utf-8')", "Path(p).open()",
+                   "Path(p).open('rb')", "gzip.open(p, 'rt')", "np.load(p)", "fh.read()"]:
+        assert not _writes_files(source), source
+
+
 def test_files_are_written_only_through_errors():
     # errors.write_output is the one output route: it owns the mode, the encoding
     # and the moment the old file is replaced
     repo = Path(__file__).resolve().parents[1]
-    writers = set()
-    for path in sorted((repo / "src" / "hiertype").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            func = getattr(node, "func", None)
-            if isinstance(func, ast.Name) and func.id == "open":
-                modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
-                if modes and set(modes[0].value) & set("wax+"):
-                    writers.add(path.name)
-            elif isinstance(func, ast.Attribute) and (
-                    func.attr in ("write_text", "write_bytes", "tofile", "savetxt")
-                    or isinstance(func.value, ast.Name) and func.value.id == "os"
-                    and func.attr in ("open", "replace", "rename")):
-                writers.add(path.name)
+    writers = {path.name for path in sorted((repo / "src" / "hiertype").glob("*.py"))
+               if _writes_files(path.read_text(encoding="utf-8"))}
     assert writers == {"errors.py"}
 
 
@@ -1041,19 +1068,29 @@ def _output_commands(tmp_path):
 
 @pytest.mark.parametrize("index", range(6), ids=["build-hierarchy", "derive-links", "label",
                                                  "train-out", "train-history", "eval"])
-@pytest.mark.parametrize("fault", ["missing_dir", "file_as_dir", "empty", "directory"])
-def test_every_output_is_checked_before_any_input_is_read(tmp_path, capsys, index, fault):
+@pytest.mark.parametrize("fault", ["missing_dir", "file_as_dir", "empty", "directory",
+                                   "unwritable_dir", "read_only"])
+def test_every_output_is_checked_before_any_input_is_read(tmp_path, capsys, monkeypatch, index, fault):
     (tmp_path / "plain.txt").write_text("x", encoding="utf-8")
+    (tmp_path / "ro").mkdir(mode=0o555)
+    (tmp_path / "ro.txt").write_text("x", encoding="utf-8")
+    (tmp_path / "ro.txt").chmod(0o444)
+    if os.geteuid() == 0:  # root passes every access check; judge by the owner's bits
+        monkeypatch.setattr(os, "access", lambda p, mode: os.path.exists(p) and (
+            not mode & os.W_OK or bool(os.stat(p).st_mode & stat.S_IWUSR)))
     target, reason = {
         "missing_dir": (tmp_path / "nodir" / "o", f"directory {tmp_path / 'nodir'} does not exist"),
-        "file_as_dir": (tmp_path / "plain.txt" / "o", f"directory {tmp_path / 'plain.txt'} does not exist"),
+        "file_as_dir": (tmp_path / "plain.txt" / "o", f"{tmp_path / 'plain.txt'} is not a directory"),
         "empty": ("", "the path is empty"),
         "directory": (tmp_path, "it is a directory"),
+        "unwritable_dir": (tmp_path / "ro" / "o", f"directory {tmp_path / 'ro'} is not writable"),
+        "read_only": (tmp_path / "ro.txt", "it is not writable"),
     }[fault]
     flag, argv = _output_commands(tmp_path)[index]
     assert main([str(target) if a == "{}" else a for a in argv]) == 2
     assert capsys.readouterr().err == f"error: cannot write {flag} {target}: {reason}\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "ro", "ro.txt"]
+    assert not any((tmp_path / "ro").iterdir()) and (tmp_path / "ro.txt").read_text(encoding="utf-8") == "x"
 
 
 def test_train_checks_its_outputs_before_any_step(task, tmp_path, capsys, monkeypatch):
@@ -1179,7 +1216,46 @@ def test_a_fresh_output_gets_the_mode_open_gives(task, tmp_path, name):
     finally:
         os.umask(umask)
     assert stat.S_IMODE((tmp_path / "fresh").stat().st_mode) == 0o640
+    # a replaced file keeps its mode
     target = tmp_path / "again"
     target.write_bytes(b"old")
+    target.chmod(0o600)
     write(str(target))
     assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("name", WRITERS)
+def test_a_symlinked_output_is_written_through(task, tmp_path, name):
+    write = _writers(task)[name][1]
+    out = tmp_path / "out"
+    (out / "elsewhere").mkdir(parents=True)
+    write(str(out / "direct"))
+    target, link = out / "elsewhere" / "target", out / "link"
+    link.symlink_to(target)
+    write(str(link))  # a dangling link makes its target
+    assert link.is_symlink() and target.read_bytes() == (out / "direct").read_bytes()
+    target.write_bytes(b"old")
+    write(str(link))
+    assert link.is_symlink() and target.read_bytes() == (out / "direct").read_bytes()
+    assert sorted(p.name for p in out.iterdir()) == ["direct", "elsewhere", "link"]
+    assert [p.name for p in (out / "elsewhere").iterdir()] == ["target"]
+
+
+def test_a_fifo_output_is_written_in_place(task, tmp_path):
+    # a device or a FIFO (/dev/null, /dev/stdout, a named pipe) is written as
+    # open() writes it; replacing it would turn it into a regular file
+    out = tmp_path / "out"
+    out.mkdir()
+    fifo = out / "history.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open it without blocking
+    try:
+        run_train(task, out=str(out / "m.ckpt"), extra=["--history", str(fifo)])
+        got = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    run_train(task, out=str(out / "m.ckpt"), extra=["--history", str(out / "h.tsv")])
+    assert got == (out / "h.tsv").read_bytes() and got.count(b"\n") >= 1
+    assert sorted(p.name for p in out.iterdir()) == ["h.tsv", "history.fifo", "m.ckpt"]
