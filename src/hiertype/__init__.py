@@ -6,7 +6,17 @@ mention encoder with order/bilinear/dot membership scoring (`model`),
 hand-derived gradients with Adam (`training`), MAP evaluation
 (`evaluation`), and a batch CLI (`cli`).  The finite-difference checker
 that verifies the gradients lives with the tests, in `tests/oracles.py`.
+
+Importing the package pins BLAS to one thread unless the environment sets
+it: the lane pool of `model` is the package's one source of parallelism,
+and checkpoint bytes depend on the BLAS thread count.  The pin only takes
+effect when numpy has not been imported yet.
 """
+
+import os as _os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, "1")
 
 from .corpus import (
     CorpusError,

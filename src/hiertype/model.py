@@ -19,7 +19,8 @@ path.  The CNN is one im2col GEMM (Chellapilla et al. 2006): the padded
 sentences are stacked into one zero-framed buffer, the windows of every
 mention are gathered into a ragged (R, w*d) matrix, R = sum_i J_i with
 J_i = max(n_i, w) - w + 1 windows for a sentence of n_i tokens, and
-pre = windows @ W.reshape(w*d, d) + b is (R, d).  Max-pooling scatters
+pre = windows @ W.reshape(w*d, d) + b is (R, d), its rows cut into
+lanes (see below).  Max-pooling scatters
 the ReLU rows into a (B, max J_i, d) grid filled with -1 and takes the
 first argmax per mention and output dim.  The head is two GEMMs over
 (B, 2d) and (B, d) rows, so every encoder output is (B, d).
@@ -41,16 +42,23 @@ branches on the kind.  Ranking calls it for (B, N) scores, through
 ``score_all_types`` and ``rank_types``, which take one vector m of shape
 (d,) or a batch (B, d).  The typing and structure losses call it with
 positive and negative masks for the loss sum and its gradients.  The
-order energy (Vendrov et al. 2016) is computed by
-``order_grid``, forward only or with its fused backward.  It splits the
-N types into ORDER_LANES contiguous lanes of whole ORDER_CHUNK chunks, and
-a lane walks the batch in tiles of ORDER_TILE rows through its own
-(ORDER_TILE, ORDER_CHUNK, d) buffer, which stays in L2; there is never a
-(B, N, d) array.  The lanes run on min(ORDER_LANES, usable CPUs) pool
-threads, or one after another on one CPU.  Energies, and so rankings and
-MAP, are bit-identical to a serial walk, and no gradient bit depends on
-the CPU count.  Bilinear scores are associated as (m @ A) @ T', so no
-product has N x d x d cost.
+order energy (Vendrov et al. 2016) is computed by ``order_grid``,
+forward only or with its fused backward.  A lane walks the batch in tiles
+of ORDER_TILE rows against its whole ORDER_CHUNK chunks of types, through
+its own (ORDER_TILE, ORDER_CHUNK, d) buffer, which stays in L2; there is
+never a (B, N, d) array.  Energies, and so rankings and MAP, are
+bit-identical to a serial walk.  Bilinear scores are associated as
+(m @ A) @ T', so no product has N x d x d cost.
+
+One lane pool runs every heavy kernel: the order kernel, the CNN forward
+GEMM here, and the ``cnn_w`` gradient GEMM and Adam in ``training``.
+Each kernel cuts its work with ``_lane_cuts`` into at most LANES
+contiguous ranges and hands them to ``_run_lanes``, which runs them on
+min(LANES, usable CPUs) pool threads, or one after another on one CPU,
+for small work, or inside a lane.  A lane writes only its own rows of
+buffers its caller allocated.  The lane count, never the worker count,
+fixes every cut and so the order of every sum: no bit depends on the
+CPU count.
 """
 
 from __future__ import annotations
@@ -250,6 +258,62 @@ def neg_log_one_minus_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# lanes
+
+
+# every laned kernel cuts its work into at most LANES contiguous ranges;
+# the lane count, never the worker count, fixes the order of every sum
+LANES = 2
+
+# a kernel with less work, in scalar operations, runs its lanes one after
+# another: waking a pool thread costs about 0.1 ms, the time of 1-4M
+# operations on one core
+LANE_MIN_WORK = 1 << 22
+
+_lane_pools: dict = {}  # worker count -> ThreadPoolExecutor
+_lane_pools_lock = threading.Lock()
+_LANE_THREAD = "hiertype-lane"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_lanes(lane, n: int, work: int) -> None:
+    """``lane(k)`` for k in range(n), about ``work`` scalar operations in
+    all.  With more than one usable CPU the lanes run on a pool of
+    min(LANES, CPUs) threads, created on first use; numpy's ufuncs,
+    ``einsum`` and BLAS release the GIL, so the lanes overlap.  Below
+    LANE_MIN_WORK, and when called from a lane (which would wait on its own
+    pool), they run one after another.  Either way each lane does the same
+    sums, so no bit depends on where the lanes ran."""
+    workers = min(LANES, _usable_cpus())
+    if (workers <= 1 or n <= 1 or work < LANE_MIN_WORK
+            or threading.current_thread().name.startswith(_LANE_THREAD)):
+        for k in range(n):
+            lane(k)
+        return
+    with _lane_pools_lock:
+        if workers not in _lane_pools:
+            from concurrent.futures import ThreadPoolExecutor
+            _lane_pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix=_LANE_THREAD)
+        pool = _lane_pools[workers]
+    for _ in pool.map(lane, range(n)):
+        pass  # re-raises a lane's exception
+
+
+def _lane_cuts(n: int, unit: int = 1) -> list[tuple[int, int]]:
+    """At most LANES contiguous ranges of whole ``unit``-sized runs over n
+    items, as even as whole runs allow; one range when n <= unit."""
+    runs = -(-n // unit)
+    lanes = max(1, min(LANES, runs))
+    cuts = [min(k * runs // lanes * unit, n) for k in range(lanes + 1)]
+    return list(zip(cuts, cuts[1:]))
+
+
+# ----------------------------------------------------------------------
 # encoder forward
 
 
@@ -274,7 +338,8 @@ def _check_word_vectors(word_vectors: np.ndarray, d: int) -> np.ndarray:
 
 
 def cnn_forward_cached(p: ModelParams, sents: Sequence[np.ndarray]) -> CnnCache:
-    """CNN + max-pool over (n, d) float64 sentences as one im2col GEMM."""
+    """CNN + max-pool over (n, d) float64 sentences as one im2col GEMM,
+    whose window rows are cut into lanes."""
     w, d = p.filter_width, p.dim
     half = w // 2
     if not sents:
@@ -294,15 +359,24 @@ def cnn_forward_cached(p: ModelParams, sents: Sequence[np.ndarray]) -> CnnCache:
     local = np.arange(first[-1]) - first[seg]  # window j within its mention
     starts = seg_start[seg] + local
     windows = framed[starts[:, None] + np.arange(w)].reshape(-1, w * d)
-    pre = windows @ p.cnn_w.reshape(w * d, d) + p.cnn_b
-    relu = np.maximum(pre, 0.0)
+    # relu = max(0, windows @ W + b), its rows cut into lanes
+    relu = np.empty((len(windows), d))
+    bounds = _lane_cuts(len(windows))
+
+    def lane(k: int) -> None:
+        lo, hi = bounds[k]
+        np.matmul(windows[lo:hi], p.cnn_w.reshape(w * d, d), out=relu[lo:hi])
+        relu[lo:hi] += p.cnn_b
+        np.maximum(relu[lo:hi], 0.0, out=relu[lo:hi])
+
+    _run_lanes(lane, len(bounds), relu.size * w * d)
     # relu >= 0 beats the -1 fill, and argmax keeps the first maximizing
     # window per output dim
     grid = np.full((len(sents), counts.max(), d), -1.0)
     grid[seg, local] = relu
     rows = first[:-1, None] + np.argmax(grid, axis=1)
     out = relu[rows, np.arange(d)]
-    return CnnCache(windows=windows, active=pre > 0.0, rows=rows, out=out)
+    return CnnCache(windows=windows, active=relu > 0.0, rows=rows, out=out)
 
 
 def surface_average(word_vectors: np.ndarray, span: tuple[int, int]) -> np.ndarray:
@@ -387,46 +461,6 @@ ORDER_CHUNK = 32
 # x rows per tile: a (ORDER_TILE, ORDER_CHUNK, d) buffer is 614 KB at
 # d = 300, so it stays in a 2 MiB L2 whatever the batch size
 ORDER_TILE = 8
-# contiguous ranges of whole chunks; the lane count, never the worker
-# count, fixes the order of every sum
-ORDER_LANES = 2
-
-_lane_pools: dict = {}  # worker count -> ThreadPoolExecutor
-_lane_pools_lock = threading.Lock()
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_lanes(lane, n: int) -> None:
-    """``lane(k)`` for k in range(n).  With more than one usable CPU the
-    lanes run on a pool of min(ORDER_LANES, CPUs) threads, created on first
-    use; numpy's ufuncs and ``einsum`` release the GIL, so the lanes
-    overlap.  Otherwise they run one after another."""
-    workers = min(ORDER_LANES, _usable_cpus())
-    if workers <= 1 or n <= 1:
-        for k in range(n):
-            lane(k)
-        return
-    with _lane_pools_lock:
-        if workers not in _lane_pools:
-            from concurrent.futures import ThreadPoolExecutor
-            _lane_pools[workers] = ThreadPoolExecutor(workers, thread_name_prefix="hiertype-order")
-        pool = _lane_pools[workers]
-    for _ in pool.map(lane, range(n)):
-        pass  # re-raises a lane's exception
-
-
-def _order_lanes(n: int) -> list[tuple[int, int]]:
-    """ORDER_LANES contiguous ranges of whole ORDER_CHUNK chunks over n type
-    rows, as even as whole chunks allow; one range when n <= ORDER_CHUNK."""
-    chunks = -(-n // ORDER_CHUNK)
-    lanes = max(1, min(ORDER_LANES, chunks))
-    cuts = [min(k * chunks // lanes * ORDER_CHUNK, n) for k in range(lanes + 1)]
-    return list(zip(cuts, cuts[1:]))
 
 
 def order_grid(
@@ -443,20 +477,20 @@ def order_grid(
     ``pos`` and ``neg`` they are the gradients of
     sum(E * pos) + sum(max(0, margin - E) * neg) with respect to x and y.
 
-    The rows of y split into the ``_order_lanes`` ranges.  A lane walks its
-    chunks, and within each chunk the rows of x in tiles of ORDER_TILE,
-    through its own reused (ORDER_TILE, ORDER_CHUNK, d) buffer.  A tile
-    writes its energies and adds its share to the lane's d_x partial and to
-    d_y's chunk rows, which no other lane touches.  Each energy is one
-    reduction over d, so E is bit-identical to a serial one-chunk walk;
-    d_x is the lane partials summed in lane order, so no bit depends on
-    how many workers ran the lanes."""
+    The rows of y split into ``_lane_cuts`` ranges of whole ORDER_CHUNK
+    chunks.  A lane walks its chunks, and within each chunk the rows of x
+    in tiles of ORDER_TILE, through its own reused (ORDER_TILE,
+    ORDER_CHUNK, d) buffer.  A tile writes its energies and adds its share
+    to the lane's d_x partial and to d_y's chunk rows, which no other lane
+    touches.  Each energy is one reduction over d, so E is bit-identical
+    to a serial one-chunk walk; d_x is the lane partials summed in lane
+    order, so no bit depends on how many workers ran the lanes."""
     B, d = x.shape
     N = y.shape[0]
     energy = np.empty((B, N))
     grads = pos is not None
     d_y = np.zeros_like(y) if grads else None
-    bounds = _order_lanes(N)
+    bounds = _lane_cuts(N, ORDER_CHUNK)
     # the buffers and partials come from this thread's allocator: memory a
     # worker thread allocates stays in its own malloc arena after the call
     bufs = np.empty((len(bounds), min(ORDER_TILE, B), min(ORDER_CHUNK, N), d))
@@ -480,7 +514,7 @@ def order_grid(
                     d_xs[k, b:t] += np.einsum("bc,bcd->bd", coeff, r)
                     d_y[s:e] += np.einsum("bc,bcd->cd", coeff, r)
 
-    _run_lanes(lane, len(bounds))
+    _run_lanes(lane, len(bounds), energy.size * d)
     if not grads:
         return energy, None, None
     d_x = d_xs[0]

@@ -20,6 +20,10 @@ derived by hand and computed with plain numpy in float64.  The tests
 verify them by central differences (``tests/oracles.py``), comparing a
 coordinate only where the loss's kink bits, rebuilt there from forward
 quantities, are the same at theta and theta +/- epsilon.
+
+The ``cnn_w`` gradient GEMM and ``adam_step`` run on ``model``'s lane pool,
+cut into a fixed number of ranges, so no bit depends on the CPU count;
+Adam is elementwise, so its bits do not depend on the cut either.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from .model import (
     encode_vectors_cached,
     membership_grid,
     sample_dropout_masks,
+    _lane_cuts,
+    _run_lanes,
     _tensor_shapes,
 )
 
@@ -341,7 +347,17 @@ def _encoder_backward(
     grads["cnn_b"] += contrib.sum(axis=0)
     g_pre = np.zeros(cnn.active.shape, dtype=np.float64)
     g_pre[cnn.rows, cols] = contrib  # (row, dim) pairs are distinct across the batch
-    grads["cnn_w"] += (cnn.windows.T @ g_pre).reshape(p.cnn_w.shape)
+    # windows.T @ g_pre, its w*d output rows cut into lanes
+    d_w = np.empty((cnn.windows.shape[1], d))
+    acc = grads["cnn_w"].reshape(d_w.shape)
+    bounds = _lane_cuts(len(d_w))
+
+    def lane(k: int) -> None:
+        lo, hi = bounds[k]
+        np.matmul(cnn.windows[:, lo:hi].T, g_pre, out=d_w[lo:hi])
+        acc[lo:hi] += d_w[lo:hi]
+
+    _run_lanes(lane, len(bounds), d_w.size * len(g_pre))
 
 
 def _structure_masks(
@@ -441,6 +457,11 @@ def loss(
 # Adam
 
 
+# elements per Adam block: a lane makes 12 numpy calls per block, and each
+# one takes the GIL, so blocks are large
+ADAM_BLOCK = 32768
+
+
 @dataclass
 class AdamState:
     step: int
@@ -468,22 +489,49 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, applied in place, per tensor in this
     order: ``m *= b1; m += (1-b1)*g; v *= b2; v += (1-b2)*g*g;
-    p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)`` with ``bc = 1 - b**t``."""
+    p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)`` with ``bc = 1 - b**t``.
+
+    Every gradient is checked before any tensor moves.  Each tensor's
+    elements are then cut into lanes, and lane k walks the k-th range of
+    every tensor in blocks of ADAM_BLOCK, through its own two scratch rows.
+    The update is elementwise, so no bit depends on the cut."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
+    flat = []  # (p, g, m, v, lane ranges), each tensor flattened
     for name, p in params.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise GradientError(f"non-finite gradient for {name!r} at step {t}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m, v = state.m[name], state.v[name]
+        if not all(a.flags.c_contiguous for a in (p, m, v)):
+            raise TrainingError(f"adam_step updates C-contiguous tensors only; {name!r} is not")
+        flat.append((*(a.reshape(-1) for a in (p, g, m, v)), _lane_cuts(p.size)))
+    largest = max((p.size for p, *_ in flat), default=0)
+    scratch = np.empty((len(_lane_cuts(largest)), 2, min(ADAM_BLOCK, largest)))
+
+    def lane(k: int) -> None:
+        s_row, r_row = scratch[k]
+        for p, g, m, v, bounds in flat:
+            start, stop = bounds[k] if k < len(bounds) else (0, 0)
+            for lo in range(start, stop, ADAM_BLOCK):
+                hi = min(lo + ADAM_BLOCK, stop)
+                gb, mb, vb, s, r = g[lo:hi], m[lo:hi], v[lo:hi], s_row[:hi - lo], r_row[:hi - lo]
+                mb *= beta1
+                mb += np.multiply(1.0 - beta1, gb, out=s)
+                vb *= beta2
+                np.square(gb, out=s)
+                vb += np.multiply(1.0 - beta2, s, out=s)
+                np.divide(mb, bc1, out=s)
+                np.multiply(lr, s, out=s)
+                np.divide(vb, bc2, out=r)
+                np.sqrt(r, out=r)
+                r += eps
+                s /= r
+                p[lo:hi] -= s
+
+    _run_lanes(lane, len(scratch), 12 * sum(p.size for p, *_ in flat))
 
 
 # ----------------------------------------------------------------------

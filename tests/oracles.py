@@ -409,6 +409,21 @@ def adam_scalar(p, g, m, v, t, *, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         p[i] = p[i] - lr * (m[i] / bc1) / (math.sqrt(v[i] / bc2) + eps)
 
 
+def adam_whole_tensors(params, grads, m, v, t, *, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Bias-corrected Adam step ``t`` over dicts of arrays, in place, one
+    whole-tensor numpy expression per step of the order ``adam_step``
+    documents, with no blocks and no lanes."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    for name, p in params.items():
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * np.square(g)
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
 def train_trajectory(train_examples, dev_examples, hierarchy, emb, config):
     """``training.train``'s step protocol, restated: returns the parameter
     vector after every step, the ``(epoch, train_loss, dev_map)`` rows, the

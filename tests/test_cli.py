@@ -4,6 +4,7 @@ import errno
 import json
 import os
 import stat
+import subprocess
 import sys
 from pathlib import Path
 
@@ -1259,3 +1260,37 @@ def test_a_fifo_output_is_written_in_place(task, tmp_path):
     run_train(task, out=str(out / "m.ckpt"), extra=["--history", str(out / "h.tsv")])
     assert got == (out / "h.tsv").read_bytes() and got.count(b"\n") >= 1
     assert sorted(p.name for p in out.iterdir()) == ["h.tsv", "history.fifo", "m.ckpt"]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_environment(tmp_path):
+    # at d = 300 the CNN GEMMs are large enough for a multi-threaded BLAS
+    # to split them, which changes their bits; importing the package pins
+    # BLAS to one thread, so a run with the variables unset matches one
+    # with them at 1
+    data = tmp_path / "data"
+    data.mkdir()
+    paths = synthtask.write_task_files(str(data), count=80, train_count=64, dim=300)
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"dim = 300\nfilter_width = 5\nencoder_mode = cnn\nmax_epochs = 2\n"
+                   f"patience = 2\nbatch_size = 32\nembeddings = {paths['embeddings']}\n",
+                   encoding="utf-8")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for blas in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = src
+        if blas is not None:
+            env.update(dict.fromkeys(BLAS_VARS, blas))
+        ckpt, hist = tmp_path / f"m-{blas}.ckpt", tmp_path / f"h-{blas}.tsv"
+        done = subprocess.run(
+            [sys.executable, "-m", "hiertype", "train", "--config", str(cfg),
+             "--hierarchy", paths["links"], "--train", paths["train"], "--dev", paths["dev"],
+             "--out", str(ckpt), "--history", str(hist)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        outputs.append((ckpt.read_bytes(), hist.read_bytes()))
+    assert outputs[0][0] == outputs[1][0], "checkpoint bytes depend on the BLAS environment"
+    assert outputs[0][1] == outputs[1][1], "history bytes depend on the BLAS environment"

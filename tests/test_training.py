@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -634,18 +637,23 @@ def test_fd_check_skips_the_order_kinks():
     assert unguarded.skipped == 0 and unguarded.max_rel_error > 0.4
 
 
+def _cnn_batch(rng, d, lengths, n_types):
+    """Mentions with random word vectors, spans and one gold type each."""
+    typing = []
+    for i, n in enumerate(lengths):
+        t1 = int(rng.integers(n))
+        typing.append(PreparedMention(word_vectors=rng.normal(scale=0.8, size=(n, d)),
+                                      span=(t1, int(rng.integers(t1, n))), gold=(i % n_types,)))
+    return typing
+
+
 def test_fd_check_ragged_batch_with_dropout():
     # one batched encoder call covers sentences shorter and longer than the
     # filter, so the max-pool gradient scatter and the stacked dropout masks
     # both see mentions with different window counts
     rng = np.random.default_rng(12)
     d, w, n_types = 4, 5, 6
-    lengths = (1, 3, 4, 6, 9, 14)
-    prepared = []
-    for i, n in enumerate(lengths):
-        t1 = int(rng.integers(n))
-        prepared.append(PreparedMention(word_vectors=rng.normal(scale=0.8, size=(n, d)),
-                                        span=(t1, int(rng.integers(t1, n))), gold=(i % n_types,)))
+    prepared = _cnn_batch(rng, d, (1, 3, 4, 6, 9, 14), n_types)
     masks = sample_dropout_masks(rng, len(prepared), d, 0.3)
     assert 0.0 in masks.concat or 0.0 in masks.hidden
     for kind in (ScoreKind.ORDER, ScoreKind.BILINEAR, ScoreKind.DOT):
@@ -674,17 +682,17 @@ def _one_walk(monkeypatch, B, N):
     """Set the kernel to one chunk, one tile and one lane."""
     monkeypatch.setattr(model, "ORDER_CHUNK", max(N, 1))
     monkeypatch.setattr(model, "ORDER_TILE", max(B, 1))
-    monkeypatch.setattr(model, "ORDER_LANES", 1)
+    monkeypatch.setattr(model, "LANES", 1)
 
 
 def test_order_lanes_are_contiguous_runs_of_whole_chunks(monkeypatch):
     monkeypatch.setattr(model, "ORDER_CHUNK", 32)
-    monkeypatch.setattr(model, "ORDER_LANES", 2)
+    monkeypatch.setattr(model, "LANES", 2)
     for N, bounds in ((0, [(0, 0)]), (5, [(0, 5)]), (32, [(0, 32)]), (33, [(0, 32), (32, 33)]),
                       (97, [(0, 64), (64, 97)]), (1941, [(0, 960), (960, 1941)])):
-        assert model._order_lanes(N) == bounds, N
+        assert model._lane_cuts(N, model.ORDER_CHUNK) == bounds, N
     monkeypatch.setattr(model, "ORDER_CHUNK", 5)
-    assert model._order_lanes(12) == [(0, 5), (5, 12)]
+    assert model._lane_cuts(12, model.ORDER_CHUNK) == [(0, 5), (5, 12)]
 
 
 def test_order_grid_chunks_match_one_chunk(monkeypatch):
@@ -694,8 +702,9 @@ def test_order_grid_chunks_match_one_chunk(monkeypatch):
     x, y, pos, neg = _order_case(rng, 7, 12)
     monkeypatch.setattr(model, "ORDER_CHUNK", 5)
     monkeypatch.setattr(model, "ORDER_TILE", 3)
-    monkeypatch.setattr(model, "ORDER_LANES", 2)
+    monkeypatch.setattr(model, "LANES", 2)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
     split_loss, split_dx, split_dy, _ = model.membership_grid(
         ScoreKind.ORDER, x, y, None, pos, neg, 1.0)
     split_scores = model.score_all_types(ScoreKind.ORDER, x, y)
@@ -711,7 +720,7 @@ def test_order_grid_chunks_match_one_chunk(monkeypatch):
 @pytest.mark.parametrize("B", [1, 7, 8, 9, 33])
 @pytest.mark.parametrize("N", [5, 32, 33, 97])
 def test_order_grid_tiles_and_lanes_match_one_walk(monkeypatch, B, N):
-    # the module's ORDER_CHUNK, ORDER_TILE and ORDER_LANES against one
+    # the module's ORDER_CHUNK, ORDER_TILE and LANES against one
     # chunk, one tile and one lane; N = 97 splits into lanes of 64 and 33
     rng = np.random.default_rng(1000 * B + N)
     x, y, pos, neg = _order_case(rng, B, N)
@@ -756,8 +765,9 @@ def test_order_grid_bits_do_not_depend_on_the_worker_count(monkeypatch):
         sys.setswitchinterval(1e-6)
         for lanes, workers in ((2, 1), (2, 2), (4, 1), (4, 4)):
             monkeypatch.setattr(model, "ORDER_CHUNK", 8)
-            monkeypatch.setattr(model, "ORDER_LANES", lanes)
+            monkeypatch.setattr(model, "LANES", lanes)
             monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
             energy, d_x, d_y = model.order_grid(x, y, pos, neg, 1.0)
             loss_sum, grid_d_x, grid_d_y, _ = model.membership_grid(
                 ScoreKind.ORDER, x, y, None, pos, neg, 1.0)
@@ -776,8 +786,9 @@ def test_fd_check_multi_chunk_order_grid(monkeypatch):
     # x rows in tiles of 2, so d_x sums over both lanes
     monkeypatch.setattr(model, "ORDER_CHUNK", 5)
     monkeypatch.setattr(model, "ORDER_TILE", 2)
-    monkeypatch.setattr(model, "ORDER_LANES", 2)
+    monkeypatch.setattr(model, "LANES", 2)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
     rng = np.random.default_rng(41)
     d, n_types = 4, 12
     params = random_model(rng, d, 3, n_types, with_bilinear=False)
@@ -818,6 +829,88 @@ def test_logit_grid_gradients_match_scalar_oracle():
             assert grid_d_a is None
         else:
             assert np.allclose(grid_d_a, d_a, rtol=0.0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# the lane pool: the CNN GEMMs, and lanes inside lanes
+
+
+def test_lane_cuts_of_single_items(monkeypatch):
+    monkeypatch.setattr(model, "LANES", 2)
+    for n, bounds in ((0, [(0, 0)]), (1, [(0, 1)]), (2, [(0, 1), (1, 2)]), (5, [(0, 2), (2, 5)])):
+        assert model._lane_cuts(n) == bounds, n
+    monkeypatch.setattr(model, "LANES", 4)
+    assert model._lane_cuts(10) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    assert model._lane_cuts(3) == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_cnn_loss_bits_do_not_depend_on_the_worker_count(monkeypatch):
+    # 5 mentions give 36 window rows and w*d = 18 filter rows to cut
+    rng = np.random.default_rng(45)
+    d, w, n_types = 6, 3, 9
+    params = random_model(rng, d, w, n_types, with_bilinear=True)
+    typing = _cnn_batch(rng, d, (1, 4, 7, 12, 20), n_types)
+    masks = sample_dropout_masks(rng, len(typing), d, 0.3)
+    cfg = small_config(dim=d, filter_width=w, mention_score_kind=ScoreKind.BILINEAR)
+    monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
+    runs = {}
+    interval = sys.getswitchinterval()
+    try:
+        # more workers than cores, with frequent thread switches
+        sys.setswitchinterval(1e-6)
+        for lanes, workers in ((2, 1), (2, 2), (4, 1), (4, 4)):
+            monkeypatch.setattr(model, "LANES", lanes)
+            monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
+            value, grads = loss(typing, None, params, cfg, masks, grads=True)
+            runs[lanes, workers] = value, np.concatenate([g.ravel() for g in grads.values()])
+    finally:
+        sys.setswitchinterval(interval)
+    for lanes in (2, 4):
+        (serial_loss, serial_grads), (lane_loss, lane_grads) = runs[lanes, 1], runs[lanes, lanes]
+        assert serial_loss == lane_loss
+        assert np.array_equal(serial_grads, lane_grads)
+        assert np.count_nonzero(lane_grads[:params.cnn_w.size]) > 0
+
+
+def test_fd_check_cnn_rows_split_across_two_lanes(monkeypatch):
+    monkeypatch.setattr(model, "LANES", 2)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
+    rng = np.random.default_rng(46)
+    d, w, n_types = 4, 3, 6
+    typing = _cnn_batch(rng, d, (2, 5, 9, 3), n_types)
+    masks = sample_dropout_masks(rng, len(typing), d, 0.3)
+    params = random_model(rng, d, w, n_types, with_bilinear=True)
+    cfg = small_config(dim=d, filter_width=w, mention_score_kind=ScoreKind.BILINEAR)
+    _, grads = loss(typing, None, params, cfg, masks, grads=True)
+    report = oracles.finite_difference_check(
+        oracles.kinked_loss(typing, None, params, cfg, masks), params.tensors(), grads)
+    assert np.count_nonzero(grads["cnn_w"]) > 0
+    assert report.checked > 0.9 * sum(t.size for t in params.tensors().values())
+    assert report.max_rel_error < 1e-4, report.worst
+
+
+def test_a_lane_that_runs_lanes_does_not_wait_on_its_own_pool(tmp_path):
+    # on two workers both pool threads run outer lanes, so an inner call
+    # that queued on the pool would wait forever; a child process keeps a
+    # deadlock from hanging this one
+    script = tmp_path / "nested.py"
+    script.write_text(
+        "from hiertype import model\n"
+        "model._usable_cpus = lambda: 2\n"
+        "seen = []\n"
+        "def outer(k):\n"
+        "    model._run_lanes(lambda j: seen.append((k, j)), 2, model.LANE_MIN_WORK)\n"
+        "model._run_lanes(outer, 2, model.LANE_MIN_WORK)\n"
+        "print(sorted(seen))\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(model.__file__).parents[1]))
+    try:
+        done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("a lane that runs lanes never finished")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[(0, 0), (0, 1), (1, 0), (1, 1)]"
 
 
 # ----------------------------------------------------------------------
@@ -875,6 +968,49 @@ def test_adam_matches_the_scalar_loop_bit_for_bit_over_30_steps(scale):
         oracles.adam_scalar(p, g, m, v, t, lr=0.01)
         got = np.concatenate([arr.ravel() for arr in params.values()])
         assert np.array_equal(got.view(np.int64), np.array(p).view(np.int64)), (scale, t)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 4])
+@pytest.mark.parametrize("block", [7, None])
+def test_adam_matches_whole_tensor_adam_bit_for_bit(monkeypatch, lanes, block):
+    # sizes that divide by neither the lane count nor the block
+    if block is None:
+        block = training.ADAM_BLOCK
+        shapes = {"big": (2 * block + 5,), "small": (3,)}
+    else:
+        monkeypatch.setattr(training, "ADAM_BLOCK", block)
+        shapes = {"a": (1,), "b": (6,), "c": (7,), "d": (5, 9), "e": (101,), "f": (3, 4, 5)}
+    monkeypatch.setattr(model, "LANES", lanes)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: lanes)
+    monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
+    rng = np.random.default_rng(33)
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    want = {k: p.copy() for k, p in params.items()}
+    state = AdamState.for_params(params)
+    m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in range(2))
+    for t in range(1, 6):
+        grads = {k: rng.normal(scale=10.0 ** (t - 3), size=s) for k, s in shapes.items()}
+        adam_step(params, grads, state, lr=0.01)
+        oracles.adam_whole_tensors(want, grads, m, v, t, lr=0.01)
+        for k in shapes:
+            for got, ref in ((params[k], want[k]), (state.m[k], m[k]), (state.v[k], v[k])):
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (k, t)
+
+
+def test_adam_checks_every_gradient_before_any_tensor_moves():
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+    state = AdamState.for_params(params)
+    with pytest.raises(GradientError, match="'b' at step 1"):
+        adam_step(params, {"a": np.ones(2), "b": np.array([np.nan])}, state, lr=0.1)
+    assert np.array_equal(params["a"], [1.0, 2.0])
+    assert not state.m["a"].any()
+
+
+def test_adam_refuses_a_tensor_it_cannot_update_through_a_flat_view():
+    params = {"a": np.zeros((3, 4))[:, ::2]}
+    state = AdamState.for_params(params)
+    with pytest.raises(TrainingError, match="'a' is not"):
+        adam_step(params, {"a": np.ones((3, 2))}, state, lr=0.1)
 
 
 def test_sample_structure_batch():
