@@ -33,7 +33,7 @@ from .corpus import (
     write_corpus,
 )
 from .errors import HiertypeError
-from .evaluation import EvalError, EvalReport, average_precision, evaluate_model, evaluate_rankings
+from .evaluation import EvalError, EvalReport, average_precision, evaluate_model
 from .hierarchy import (
     CycleError,
     EntityTypeTable,

@@ -204,15 +204,13 @@ def _cmd_label(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_train_config(args.config)
-    if args.overrides:
-        located = {}
-        for item in args.overrides:
-            key, sep, value = item.partition("=")
-            if not sep or not key.strip():
-                raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
-            located[key.strip()] = (f"--set {item!r}", value.strip())
-        cfg = located_config(located, base=cfg)
+    located = {}
+    for item in args.overrides:  # a usage error, before any input is read
+        key, sep, value = item.partition("=")
+        if not sep or not key.strip():
+            raise UsageError(f"--set expects KEY=VALUE, got {item!r}")
+        located[key.strip()] = (f"--set {item!r}", value.strip())
+    cfg = located_config(located, base=load_train_config(args.config))
     if args.embeddings:
         cfg.embeddings = args.embeddings
     if args.seed is not None:
@@ -272,13 +270,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    ckpt, h = _load_checkpoint_for(args)
+    if args.top < 1:  # the request is checked before any input is read
+        raise UsageError(f"--top must be positive, got {args.top}")
     tokens = args.text.split()
     if not tokens:
         raise CorpusError("--text is empty after whitespace tokenization")
     mention = Mention(tokens=tuple(tokens), span=(args.span[0], args.span[1]))
-    if args.top < 1:
-        raise UsageError(f"--top must be positive, got {args.top}")
+    ckpt, h = _load_checkpoint_for(args)
     m = encode_mention(ckpt.params, [mention], ckpt.embedding_table(), ckpt.encoder_mode)[0]
     order, scores = rank_types(ckpt.mention_score_kind, m, ckpt.params.type_emb, ckpt.params.bilinear)
     for i in order[: args.top]:

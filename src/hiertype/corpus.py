@@ -104,8 +104,6 @@ class EmbeddingTable:
             raise EmbeddingError("duplicate tokens in embedding table")
         self._matrix = matrix.view()  # freezes this view, not the caller's array
         self._matrix.flags.writeable = False
-        self._oov = np.zeros(matrix.shape[1], dtype=np.float64)
-        self._oov.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -124,10 +122,6 @@ class EmbeddingTable:
 
     def __contains__(self, token: str) -> bool:
         return token in self._lookup
-
-    def lookup(self, token: str) -> np.ndarray:
-        i = self._lookup.get(token)
-        return self._oov if i is None else self._matrix[i]
 
     def vectors(self, tokens: Sequence[str]) -> np.ndarray:
         """Stack per-token vectors into an (n, d) array."""

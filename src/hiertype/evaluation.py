@@ -58,18 +58,6 @@ class EvalReport:
         return f"map={self.mean_ap!r}"
 
 
-def evaluate_rankings(
-    rankings: Sequence[Sequence[object]],
-    golds: Sequence[Iterable[object]],
-) -> EvalReport:
-    if len(rankings) != len(golds):
-        raise EvalError(f"{len(rankings)} ranking(s) for {len(golds)} gold set(s)")
-    aps = [average_precision(r, g) for r, g in zip(rankings, golds)]
-    if not aps:
-        raise EvalError("empty evaluation set")
-    return EvalReport(per_mention_ap=tuple(aps), mean_ap=sum(aps) / len(aps), mention_count=len(aps))
-
-
 def evaluate_model(
     examples: Sequence[LabeledExample],
     params: ModelParams,

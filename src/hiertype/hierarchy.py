@@ -389,15 +389,6 @@ class TypeHierarchy:
                      [json.dumps(self.to_dict(), ensure_ascii=False, separators=(",", ":")) + "\n"])
 
     @classmethod
-    def from_links(
-        cls,
-        links: Iterable[tuple[str, str, str]],
-        types: Sequence[str] = (),
-        source: str = "<memory>",
-    ) -> "TypeHierarchy":
-        return cls(links, extra_types=types, source=source)
-
-    @classmethod
     def load(cls, path: str) -> "TypeHierarchy":
         if starts_json(path, HierarchyError):
             return cls.from_dict(parse_json(read_text(path, HierarchyError), path, HierarchyError),

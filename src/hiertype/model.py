@@ -151,9 +151,9 @@ class ModelParams:
     Every present tensor is a reshaped view of one float64 vector ``flat``,
     laid out in that order.  The constructor copies the given tensors into
     a new vector.  Only code in this module passes ``flat``: a vector that
-    already holds the tensors' values in that layout, used as it is.
-    Update tensors in place: an attribute rebound to another array is no
-    longer part of ``flat``.
+    already holds the tensors' values in that layout, used as it is, as
+    ``over`` does.  Update tensors in place: an attribute rebound to
+    another array is no longer part of ``flat``.
     """
 
     cnn_w: np.ndarray
@@ -180,7 +180,7 @@ class ModelParams:
         _check_shapes(tensors, _tensor_shapes(self.dim, self.filter_width, self.n_types))
         if self.flat is None:
             self.flat = np.concatenate([t.ravel() for t in tensors.values()])
-        for name, view in self.split(self.flat).items():
+        for name, view in _views(self.flat, {n: t.shape for n, t in tensors.items()}).items():
             setattr(self, name, view)
 
     @property
@@ -199,12 +199,15 @@ class ModelParams:
         """Every present tensor by name, in table order."""
         return {n: t for n, t in vars(self).items() if n != "flat" and t is not None}
 
-    def split(self, vector: np.ndarray) -> dict[str, np.ndarray]:
-        """Named views of a vector laid out like ``flat``, in table order."""
-        return _views(vector, {n: t.shape for n, t in self.tensors().items()})
+    def over(self, vector: np.ndarray) -> "ModelParams":
+        """A model with this one's layout whose tensors are views of
+        ``vector``, a float64 vector of ``flat``'s shape, used as it is."""
+        if vector.dtype != np.float64 or vector.shape != self.flat.shape:
+            raise ModelError(f"over needs float64 {self.flat.shape}, got {vector.dtype} {vector.shape}")
+        return replace(self, flat=vector)
 
     def copy(self) -> "ModelParams":
-        return replace(self, flat=self.flat.copy())
+        return self.over(self.flat.copy())
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,20 @@ never sampled.  The combined objective is typing + structure_weight *
 structure, and one structure batch is consumed after every typing batch.
 
 ``loss`` is the single entry point for that objective: it returns the
-loss value and, on request, its gradients.  Both terms take one routing
+loss value and, on request, its gradients as a ``ModelParams`` over one
+zeroed vector laid out like ``params.flat``.  Both terms take one routing
 path: a call to ``model.membership_grid`` with the term's masks, whose
-type-row and matrix gradients are scaled into the named tensors; the
+type-row and matrix gradients are scaled into the gradient's tensors; the
 structure term first folds its d_x into its own rows.  Gradients are
 derived by hand and computed with plain numpy in float64.  The tests
 verify them by central differences (``tests/oracles.py``), comparing a
 coordinate only where the loss's kink bits, rebuilt there from forward
 quantities, are the same at theta and theta +/- epsilon.
 
-The ``cnn_w`` gradient GEMM and ``adam_step`` run on ``model``'s lane pool,
-cut into a fixed number of ranges, so no bit depends on the CPU count;
-Adam is elementwise, so its bits do not depend on the cut either.
+The ``cnn_w`` gradient GEMM and ``adam_step``, one pass over ``params.flat``,
+run on ``model``'s lane pool, cut into a fixed number of ranges, so no bit
+depends on the CPU count; Adam is elementwise, so its bits do not depend
+on the cut either.
 """
 
 from __future__ import annotations
@@ -321,20 +323,15 @@ def structure_pool(hierarchy: TypeHierarchy) -> list[StructurePair]:
 # the loss
 
 
-def _encoder_backward(
-    p: ModelParams,
-    cache: EncoderCache,
-    g: np.ndarray,
-    grads: dict[str, np.ndarray],
-) -> None:
-    """Accumulate d(loss)/d(encoder tensors) for a batch, given the (B, d)
-    gradient at the encoder outputs; word vectors are fixed inputs, so the
-    chain stops at the concat layer."""
-    grads["w2"] += g.T @ cache.hidden_dropped
-    grads["b2"] += g.sum(axis=0)
+def _encoder_backward(p: ModelParams, cache: EncoderCache, g: np.ndarray, grads: ModelParams) -> None:
+    """Accumulate d(loss)/d(encoder tensors) into ``grads`` for a batch,
+    given the (B, d) gradient at the encoder outputs; word vectors are fixed
+    inputs, so the chain stops at the concat layer."""
+    grads.w2 += g.T @ cache.hidden_dropped
+    grads.b2 += g.sum(axis=0)
     dpre = (g @ p.w2) * cache.hidden_mask * cache.hidden_active
-    grads["w1"] += dpre.T @ cache.concat_dropped
-    grads["b1"] += dpre.sum(axis=0)
+    grads.w1 += dpre.T @ cache.concat_dropped
+    grads.b1 += dpre.sum(axis=0)
     if cache.cnn is None:
         return
     d = p.dim
@@ -344,12 +341,12 @@ def _encoder_backward(
     # max-pool routes each (mention, output dim) to its first argmax window;
     # a window whose ReLU is inactive passes nothing
     contrib = np.where(cnn.active[cnn.rows, cols], d_pool, 0.0)
-    grads["cnn_b"] += contrib.sum(axis=0)
+    grads.cnn_b += contrib.sum(axis=0)
     g_pre = np.zeros(cnn.active.shape, dtype=np.float64)
     g_pre[cnn.rows, cols] = contrib  # (row, dim) pairs are distinct across the batch
     # windows.T @ g_pre, its w*d output rows cut into lanes
     d_w = np.empty((cnn.windows.shape[1], d))
-    acc = grads["cnn_w"].reshape(d_w.shape)
+    acc = grads.cnn_w.reshape(d_w.shape)
     bounds = _lane_cuts(len(d_w))
 
     def lane(k: int) -> None:
@@ -388,19 +385,20 @@ def loss(
     masks: DropoutMasks | None = None,
     *,
     grads: bool = False,
-) -> tuple[float, dict[str, np.ndarray] | None]:
+) -> tuple[float, ModelParams | None]:
     """The combined objective typing + structure_weight * structure.
 
     This is the one entry point for the loss value and its exact analytic
     gradients for every tensor (``grads=True``); it returns ``(loss, grads
-    or None)``.  Either batch may be None, and the structure batch is
-    ignored at structure_weight 0.
+    or None)``, the gradients as a ``ModelParams`` over one new vector
+    ``grads.flat``, laid out like ``params.flat``.  Either batch may be
+    None, and the structure batch is ignored at structure_weight 0.
     Tensors that do not participate (CNN filters in mention-only mode, the
     structure machinery at structure_weight 0) get exact zero gradients.
     """
     n_types = params.n_types
     total = 0.0
-    out = params.split(np.zeros_like(params.flat)) if grads else None
+    out = params.over(np.zeros_like(params.flat)) if grads else None
 
     def grid_term(kind, x, matrix_names, pos, neg, scale, rows=None):
         """One grid term, x against every type row: its unnormalized loss
@@ -415,9 +413,9 @@ def loss(
         if grads:
             if rows is not None:
                 np.add.at(d_y, rows, d_x)
-            out["type_emb"] += scale * d_y
+            out.type_emb += scale * d_y
             if d_a is not None:
-                out[key] += scale * d_a
+                getattr(out, key)[...] += scale * d_a
         return loss_sum, d_x
 
     if typing is not None:
@@ -464,22 +462,30 @@ ADAM_BLOCK = 32768
 
 @dataclass
 class AdamState:
+    """The step count and the two moment vectors, laid out like ``params.flat``."""
+
     step: int
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def for_params(cls, params: Mapping[str, np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m={k: np.zeros_like(v) for k, v in params.items()},
-            v={k: np.zeros_like(v) for k, v in params.items()},
-        )
+    def for_params(cls, params: ModelParams) -> "AdamState":
+        return cls(step=0, m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
+
+
+def _gradient_fault(g: np.ndarray) -> str | None:
+    """What is wrong with a gradient, if anything: a non-finite value, or
+    one above sqrt(float max), whose square is inf.  min and max propagate
+    nan and reach +-inf without a temporary."""
+    lo, hi = g.min(), g.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return "non-finite gradient"
+    return "gradient too large to square" if max(-lo, hi) > math.sqrt(np.finfo(float).max) else None
 
 
 def adam_step(
-    params: Mapping[str, np.ndarray],
-    grads: Mapping[str, np.ndarray],
+    params: ModelParams,
+    grads: ModelParams,
     state: AdamState,
     *,
     lr: float,
@@ -487,51 +493,50 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, applied in place, per tensor in this
+    """One bias-corrected Adam update of ``params.flat``, in place, in this
     order: ``m *= b1; m += (1-b1)*g; v *= b2; v += (1-b2)*g*g;
     p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)`` with ``bc = 1 - b**t``.
 
-    Every gradient is checked before any tensor moves.  Each tensor's
-    elements are then cut into lanes, and lane k walks the k-th range of
-    every tensor in blocks of ADAM_BLOCK, through its own two scratch rows.
-    The update is elementwise, so no bit depends on the cut."""
-    state.step += 1
-    t = state.step
+    ``grads`` and the moments must be laid out like ``params``.  A bad
+    gradient (``_gradient_fault``) raises GradientError naming the first
+    bad tensor, before anything moves.  Each lane walks its range of the
+    vector in blocks of ADAM_BLOCK through its own two scratch rows; the
+    update is elementwise, so no bit depends on the cut."""
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    layouts = [[(n, x.shape) for n, x in q.tensors().items()] for q in (params, grads)]
+    if layouts[0] != layouts[1] or not p.shape == m.shape == v.shape:
+        raise TrainingError("adam_step needs a gradient and moments laid out like the parameters")
+    t = state.step + 1
+    if _gradient_fault(g):
+        for name, x in grads.tensors().items():
+            if fault := _gradient_fault(x):
+                raise GradientError(f"{fault} for {name!r} at step {t}")
+    state.step = t
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
-    flat = []  # (p, g, m, v, lane ranges), each tensor flattened
-    for name, p in params.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise GradientError(f"non-finite gradient for {name!r} at step {t}")
-        m, v = state.m[name], state.v[name]
-        if not all(a.flags.c_contiguous for a in (p, m, v)):
-            raise TrainingError(f"adam_step updates C-contiguous tensors only; {name!r} is not")
-        flat.append((*(a.reshape(-1) for a in (p, g, m, v)), _lane_cuts(p.size)))
-    largest = max((p.size for p, *_ in flat), default=0)
-    scratch = np.empty((len(_lane_cuts(largest)), 2, min(ADAM_BLOCK, largest)))
+    bounds = _lane_cuts(p.size)
+    scratch = np.empty((len(bounds), 2, min(ADAM_BLOCK, p.size)))
 
     def lane(k: int) -> None:
         s_row, r_row = scratch[k]
-        for p, g, m, v, bounds in flat:
-            start, stop = bounds[k] if k < len(bounds) else (0, 0)
-            for lo in range(start, stop, ADAM_BLOCK):
-                hi = min(lo + ADAM_BLOCK, stop)
-                gb, mb, vb, s, r = g[lo:hi], m[lo:hi], v[lo:hi], s_row[:hi - lo], r_row[:hi - lo]
-                mb *= beta1
-                mb += np.multiply(1.0 - beta1, gb, out=s)
-                vb *= beta2
-                np.square(gb, out=s)
-                vb += np.multiply(1.0 - beta2, s, out=s)
-                np.divide(mb, bc1, out=s)
-                np.multiply(lr, s, out=s)
-                np.divide(vb, bc2, out=r)
-                np.sqrt(r, out=r)
-                r += eps
-                s /= r
-                p[lo:hi] -= s
+        start, stop = bounds[k]
+        for lo in range(start, stop, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, stop)
+            gb, mb, vb, s, r = g[lo:hi], m[lo:hi], v[lo:hi], s_row[:hi - lo], r_row[:hi - lo]
+            mb *= beta1
+            mb += np.multiply(1.0 - beta1, gb, out=s)
+            vb *= beta2
+            np.square(gb, out=s)
+            vb += np.multiply(1.0 - beta2, s, out=s)
+            np.divide(mb, bc1, out=s)
+            np.multiply(lr, s, out=s)
+            np.divide(vb, bc2, out=r)
+            np.sqrt(r, out=r)
+            r += eps
+            s /= r
+            p[lo:hi] -= s
 
-    _run_lanes(lane, len(scratch), 12 * sum(p.size for p, *_ in flat))
+    _run_lanes(lane, len(bounds), 12 * p.size)
 
 
 # ----------------------------------------------------------------------
@@ -602,14 +607,13 @@ def train(
         raise ConfigError(f"embedding dim {emb.dim} does not match config dim {config.dim}")
     init_rng, mask_rng, struct_rng = _rng_streams(config.seed)
     params = init_model(len(hierarchy), config, rng=init_rng)
-    tensors = params.tensors()
-    state = AdamState.for_params(tensors)
+    state = AdamState.for_params(params)
     pool = structure_pool(hierarchy)
     if config.structure_weight > 0 and not pool:
         raise TrainingError("structure_weight is positive but no type has ancestors")
 
     history: list[EpochMetrics] = []
-    best_params = params.copy()
+    best_params = params  # replaced by a copy at epoch 1, whose dev MAP beats -1
     best_epoch = 0
     best_map = -1.0
     for epoch in range(1, config.max_epochs + 1):
@@ -624,7 +628,7 @@ def train(
                 sbatch = _sample_structure_batch(pool, config.structure_batch_size, struct_rng)
             value, grads = loss(prepared, sbatch, params, config, masks, grads=True)
             adam_step(
-                tensors, grads, state,
+                params, grads, state,
                 lr=config.learning_rate,
                 beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps,
             )

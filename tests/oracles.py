@@ -446,7 +446,6 @@ def train_trajectory(train_examples, dev_examples, hierarchy, emb, config):
     init_ss, mask_ss, struct_ss = np.random.SeedSequence(config.seed).spawn(3)
     mask_rng, struct_rng = np.random.default_rng(mask_ss), np.random.default_rng(struct_ss)
     params = init_model(len(hierarchy), config, rng=np.random.default_rng(init_ss))
-    names = list(params.tensors())
     p = params.flat.tolist()
     m, v = [0.0] * len(p), [0.0] * len(p)
     pool = [(i, hierarchy.ancestor_indexes(i)) for i in range(len(hierarchy))
@@ -473,8 +472,7 @@ def train_trajectory(train_examples, dev_examples, hierarchy, emb, config):
             params.flat[:] = p
             value, grads = loss(prepare_typing_batch(batch, emb), sample, params, config, masks,
                                 grads=True)
-            g = [x for name in names for x in grads[name].ravel().tolist()]
-            adam_scalar(p, g, m, v, len(steps) + 1, lr=config.learning_rate,
+            adam_scalar(p, grads.flat.tolist(), m, v, len(steps) + 1, lr=config.learning_rate,
                         beta1=config.adam_beta1, beta2=config.adam_beta2, eps=config.adam_eps)
             steps.append(list(p))
             losses.append(value)

@@ -48,7 +48,7 @@ def hierarchy_lines() -> list[str]:
 
 
 def build_hierarchy() -> TypeHierarchy:
-    return TypeHierarchy.from_links(
+    return TypeHierarchy(
         [tuple(line.split("\t")) for line in hierarchy_lines()], source="<synthetic>"
     )
 

@@ -106,7 +106,7 @@ def _random_typing_batch(rng, d: int, n_types: int, m_count: int = 2,
 
 
 def test_c1_gradients_match_finite_differences():
-    hier = TypeHierarchy.from_links(_DIAMOND_LINKS)
+    hier = TypeHierarchy(_DIAMOND_LINKS)
     assert len(hier) == 12
     pool = structure_pool(hier)
     kinds = (ScoreKind.ORDER, ScoreKind.BILINEAR, ScoreKind.DOT)
@@ -139,7 +139,7 @@ def test_c1_gradients_match_finite_differences():
                         _, grads = loss(typing, sbatch, params, cfg, grads=True)
                         rep = oracles.finite_difference_check(
                             oracles.kinked_loss(typing, sbatch, params, cfg), params.tensors(),
-                            grads, epsilon=1e-5)
+                            grads.tensors(), epsilon=1e-5)
                         assert rep.checked > 0
                         total_checked += rep.checked
                         total_skipped += rep.skipped
@@ -278,7 +278,7 @@ def test_c3_hierarchy_closure_matches_reachability():
                 names, links = random_dag_links(rng, max_nodes=50)
             acyclic = oracles.is_acyclic(names, links)
             try:
-                h = TypeHierarchy.from_links(links, types=names)
+                h = TypeHierarchy(links, extra_types=names)
             except CycleError:
                 h = None
             if (h is not None) != acyclic:
@@ -298,7 +298,7 @@ def test_c3_hierarchy_closure_matches_reachability():
                     if not anc[a] <= anc[name]:
                         discrepancies += 1
             # monotonicity: fewer links never grow an ancestor set
-            sub = TypeHierarchy.from_links(links[: len(links) // 2], types=names)
+            sub = TypeHierarchy(links[: len(links) // 2], extra_types=names)
             for name in names:
                 if not {t.name for t in sub.ancestors(name)} <= anc[name]:
                     discrepancies += 1
@@ -307,7 +307,7 @@ def test_c3_hierarchy_closure_matches_reachability():
             # mutual pairs, which are correctly rejected as cycles)
             if all(k != "equivalence" for _, _, k in links):
                 closure_links = [(t, a, "child_of") for t in names for a in anc[t]]
-                h2 = TypeHierarchy.from_links(closure_links, types=names)
+                h2 = TypeHierarchy(closure_links, extra_types=names)
                 for name in names:
                     if {t.name for t in h2.ancestors(name)} != anc[name]:
                         discrepancies += 1
@@ -427,13 +427,12 @@ def test_c7_order_embedding_geometry():
         return worst_pos, ok / len(neg_pairs)
 
     with verdict(7, "order geometry") as info:
-        tensors = params.tensors()
-        state = AdamState.for_params(tensors)
+        state = AdamState.for_params(params)
         steps = 0
         worst_pos, frac_ok = geometry()
         for step in range(1, 2001):
             _, grads = loss(None, pool, params, cfg, grads=True)
-            adam_step(tensors, grads, state, lr=cfg.learning_rate)
+            adam_step(params, grads, state, lr=cfg.learning_rate)
             steps = step
             if step % 25 == 0:
                 worst_pos, frac_ok = geometry()

@@ -83,7 +83,7 @@ def test_evaluate_model_calls_through_the_evaluation_module_globals(monkeypatch)
     names = ("encode_mention", "rank_types", "average_precision")
     calls = {name: count_calls(monkeypatch, evaluation, name) for name in names}
     rng = np.random.default_rng(1)
-    hier = TypeHierarchy.from_links([("a", "b", "child_of")], types=["c"])
+    hier = TypeHierarchy([("a", "b", "child_of")], extra_types=["c"])
     emb = EmbeddingTable(["x", "y"], rng.normal(size=(2, 3)))
     count = evaluation.EVAL_BATCH + 1
     examples = [LabeledExample(mention=Mention(tokens=("x", "y", "z")[:1 + i % 3], span=(0, 0)),

@@ -449,6 +449,15 @@ def test_train_set_overrides(task, tmp_path, capsys):
     assert "warp_speed" in capsys.readouterr().err
 
 
+def test_train_set_fault_comes_before_any_input_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing")
+    assert main(["train", "--config", missing + ".cfg", "--hierarchy", missing + ".tsv",
+                 "--train", missing + ".jsonl", "--dev", missing + ".jsonl",
+                 "--out", str(tmp_path / "x.ckpt"), "--set", "max_epochs=2", "--set", "bad"]) == 1
+    assert capsys.readouterr().err == "usage error: --set expects KEY=VALUE, got 'bad'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("route", ["config", "set"])
 @pytest.mark.parametrize("item, message", [
     ("dimm=3", "unknown config key: 'dimm'"),
@@ -884,6 +893,15 @@ def test_score_validates_span_and_top(task, capsys):
     capsys.readouterr()
 
 
+def test_score_top_fault_comes_before_any_input_is_read(tmp_path, capsys, monkeypatch):
+    # the checkpoint is missing, and reading it would fail with exit 2
+    monkeypatch.setattr("hiertype.cli.load_checkpoint", lambda path: pytest.fail("checkpoint read"))
+    assert main(["score", "--model", str(tmp_path / "missing.ckpt"), "--hierarchy",
+                 str(tmp_path / "missing.tsv"), "--text", "the meow", "--span", "1", "1",
+                 "--top", "0"]) == 1
+    assert capsys.readouterr().err == "usage error: --top must be positive, got 0\n"
+
+
 def test_score_top_defaults_to_full_list_when_large(task, capsys):
     model = run_train(task)
     assert main(["score", "--model", model, "--hierarchy", task["links"],
@@ -1004,7 +1022,7 @@ def _read_or_error(read, error):
 
 
 def test_type_confused_hierarchy_json_exits_2_with_its_location(tmp_path, capsys):
-    valid = TypeHierarchy.from_links([("cat", "animal", "child_of"), ("car", "thing", "child_of"),
+    valid = TypeHierarchy([("cat", "animal", "child_of"), ("car", "thing", "child_of"),
                                       ("auto", "car", "equivalence")]).to_dict()
     p = tmp_path / "h.json"
 
@@ -1092,6 +1110,29 @@ def test_every_output_is_checked_before_any_input_is_read(tmp_path, capsys, monk
     assert capsys.readouterr().err == f"error: cannot write {flag} {target}: {reason}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.txt", "ro", "ro.txt"]
     assert not any((tmp_path / "ro").iterdir()) and (tmp_path / "ro.txt").read_text(encoding="utf-8") == "x"
+
+
+@pytest.mark.parametrize("kind", ["bilinear", "dot", "order"])
+def test_train_on_finite_inputs_whose_gradients_overflow_exits_2(tmp_path, capsys, kind):
+    # every embedding value is finite and loads, but scaled by 1e200 the
+    # gradients pass sqrt(float max), so g * g would overflow Adam's v
+    paths = synthtask.write_task_files(str(tmp_path), count=24, train_count=16, dim=4)
+    rows = [line.split() for line in Path(paths["embeddings"]).read_text(encoding="utf-8").splitlines()]
+    Path(paths["embeddings"]).write_text(
+        "".join(" ".join([t, *(repr(float(v) * 1e200) for v in vs)]) + "\n" for t, *vs in rows),
+        encoding="utf-8")
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"dim=4\nfilter_width=3\nmention_score_kind={kind}\nbatch_size=8\n"
+                   f"max_epochs=2\nembeddings={paths['embeddings']}\n", encoding="utf-8")
+    out = tmp_path / "m.ckpt"
+    with np.errstate(all="ignore"):
+        assert main(["train", "--config", str(cfg), "--hierarchy", paths["links"], "--train",
+                     paths["train"], "--dev", paths["dev"], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    names = ("cnn_w", "cnn_b", "w1", "b1", "w2", "b2", "type_emb", "bilinear")
+    assert any(err == f"error: {fault} for {name!r} at step 1\n" for name in names
+               for fault in ("non-finite gradient", "gradient too large to square")), err
+    assert not out.exists()
 
 
 def test_train_checks_its_outputs_before_any_step(task, tmp_path, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from hiertype.cli import _load_allowed_pairs, main as cli_main
 
 @pytest.fixture
 def hier():
-    return TypeHierarchy.from_links(
+    return TypeHierarchy(
         [("cat", "animal", "child_of"), ("dog", "animal", "child_of"),
          ("animal", "thing", "child_of")]
     )
@@ -96,10 +96,10 @@ def test_embedding_lookup_and_oov(tmp_path):
     p.write_text("the 1.0 2.0\nCat 3.5 -1.25\n", encoding="utf-8")
     emb = EmbeddingTable.load(str(p), dim=2)
     assert emb.dim == 2 and len(emb) == 2
-    assert np.array_equal(emb.lookup("the"), [1.0, 2.0])
-    assert np.array_equal(emb.lookup("Cat"), [3.5, -1.25])
+    assert np.array_equal(emb.vectors(["the"])[0], [1.0, 2.0])
+    assert np.array_equal(emb.vectors(["Cat"])[0], [3.5, -1.25])
     # case sensitive, unknown tokens read as zeros
-    assert np.array_equal(emb.lookup("cat"), [0.0, 0.0])
+    assert np.array_equal(emb.vectors(["cat"])[0], [0.0, 0.0])
     assert "the" in emb and "cat" not in emb
     got = emb.vectors(["Cat", "nope", "the"])
     assert np.array_equal(got, [[3.5, -1.25], [0.0, 0.0], [1.0, 2.0]])
@@ -111,8 +111,8 @@ def test_embedding_matrix_is_read_only(tmp_path):
     emb = EmbeddingTable.load(str(p), dim=1)
     with pytest.raises(ValueError):
         emb.matrix[0, 0] = 9.0
-    with pytest.raises(ValueError):
-        emb.lookup("zzz")[0] = 9.0
+    emb.vectors(["zzz", "a"])[:] = 9.0  # a fresh array, so the table stays as it was
+    assert np.array_equal(emb.vectors(["zzz", "a"]), [[0.0], [1.0]])
 
 
 def test_embedding_load_errors(tmp_path):
@@ -176,7 +176,7 @@ def test_embedding_duplicate_token_keeps_first(tmp_path, caplog, per_line_loads)
         with caplog.at_level(logging.WARNING, logger="hiertype.corpus"):
             emb = EmbeddingTable.load(str(p), dim=1)
         assert len(emb) == text.count("\n") - 1
-        assert emb.lookup("a")[0] == 1.0
+        assert emb.vectors(["a"])[0, 0] == 1.0
         assert any("duplicate" in r.message for r in caplog.records)
         assert [r.getMessage() for r in caplog.records] == [
             f"{p}:2: duplicate token 'a', keeping first"]
@@ -197,7 +197,7 @@ def test_embedding_table_freezes_a_view_not_the_callers_array():
     assert not table.matrix.flags.writeable
     assert np.shares_memory(a, table.matrix)
     a[1, 2] = 4.0
-    assert table.lookup("y")[2] == 4.0
+    assert table.vectors(["y"])[0, 2] == 4.0
 
 
 # Literals whose float64 bits are easy to get wrong: a subnormal, a signed
@@ -414,7 +414,7 @@ def _embeddings(path):
 TEXT_FORMATS = {
     "config": ("# trainer\ndim=4\nseed=3\n", load_train_config),
     "links": ("# header\na\tb\tchild_of\nlonely\n", lambda p: TypeHierarchy.load(p).to_dict()),
-    "hierarchy json": (json.dumps(TypeHierarchy.from_links([("a", "b", "child_of")]).to_dict(), indent=1),
+    "hierarchy json": (json.dumps(TypeHierarchy([("a", "b", "child_of")]).to_dict(), indent=1),
                        lambda p: TypeHierarchy.load(p).to_dict()),
     "entity table": ("e1\tA,B\ne2\tB\n",
                      lambda p: {e: t.types_of(e) for t in [EntityTypeTable.load(p)] for e in t.entities()}),

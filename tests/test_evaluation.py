@@ -5,6 +5,7 @@ from hiertype import (
     EmbeddingTable,
     EncoderMode,
     EvalError,
+    EvalReport,
     LabeledExample,
     Mention,
     ModelParams,
@@ -12,7 +13,6 @@ from hiertype import (
     TypeHierarchy,
     average_precision,
     evaluate_model,
-    evaluate_rankings,
 )
 
 import oracles
@@ -75,20 +75,24 @@ def test_matches_per_k_oracle_on_random_instances():
         assert got == pytest.approx(want, abs=1e-13)
 
 
-def test_evaluate_rankings():
-    report = evaluate_rankings([["a", "b"], ["b", "a"]], [{"a"}, {"a"}])
+def _report(rankings, golds):
+    """An EvalReport over the APs of the given rankings, as evaluate_model builds it."""
+    aps = [average_precision(r, g) for r, g in zip(rankings, golds, strict=True)]
+    return EvalReport(per_mention_ap=tuple(aps), mean_ap=sum(aps) / len(aps), mention_count=len(aps))
+
+
+def test_eval_report_of_two_rankings():
+    report = _report([["a", "b"], ["b", "a"]], [{"a"}, {"a"}])
     assert report.per_mention_ap == (1.0, 0.5)
     assert report.mean_ap == 0.75
     assert report.mention_count == 2
     assert report.summary_line() == "map=0.75"
     with pytest.raises(EvalError):
-        evaluate_rankings([["a"]], [{"a"}, {"a"}])
-    with pytest.raises(EvalError):
-        evaluate_rankings([], [])
+        evaluate_model([], None, None, EncoderMode.MENTION_ONLY, ScoreKind.DOT)
 
 
 def test_summary_line_uses_repr():
-    report = evaluate_rankings([["b", "a", "c"]], [{"a", "c"}])
+    report = _report([["b", "a", "c"]], [{"a", "c"}])
     assert report.summary_line() == f"map={report.mean_ap!r}"
     assert report.mean_ap == pytest.approx(7 / 12, abs=1e-15)
     # repr means the printed value parses back to the exact float
@@ -99,7 +103,7 @@ def test_evaluate_model_on_identity_encoder():
     # one-hot word vectors pass through w1=[I|0], w2=I untouched, and the
     # identity type matrix makes each token's own type the top score
     d = 4
-    hier = TypeHierarchy.from_links([], types=[f"t{i}" for i in range(d)])
+    hier = TypeHierarchy([], extra_types=[f"t{i}" for i in range(d)])
     vocab = [f"tok{i}" for i in range(d)]
     emb = EmbeddingTable(vocab, np.eye(d))
     params = ModelParams(
@@ -122,7 +126,7 @@ def test_evaluate_model_on_identity_encoder():
 def test_evaluate_model_tie_breaking_prefers_low_index():
     # zero mention vector scores every type equally, so ranking is by index
     d = 3
-    hier = TypeHierarchy.from_links([], types=["t0", "t1", "t2"])
+    hier = TypeHierarchy([], extra_types=["t0", "t1", "t2"])
     emb = EmbeddingTable(["x"], np.zeros((1, d)))
     params = ModelParams(
         cnn_w=np.zeros((3, d, d)), cnn_b=np.zeros(d),

@@ -25,7 +25,7 @@ from oracles import is_acyclic, reachable
 
 
 def build(links, types=()):
-    return TypeHierarchy.from_links(links, types=types)
+    return TypeHierarchy(links, extra_types=types)
 
 
 # ----------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_cycle_rejected_with_concrete_cycle():
     assert set(exc.value.cycle) == {"a", "b", "c"}
     assert "->" in str(exc.value)
     with pytest.raises(CycleError, match="^mem: hierarchy contains a cycle: a -> b -> a$") as exc:
-        TypeHierarchy.from_links([("a", "b", "child_of"), ("b", "a", "child_of")], source="mem")
+        TypeHierarchy([("a", "b", "child_of"), ("b", "a", "child_of")], source="mem")
     assert exc.value.cycle == ("a", "b")
 
 
@@ -155,7 +155,7 @@ def test_reported_cycle_is_a_closed_chain_of_links():
         names, links = random_dag_links(rng, max_nodes=30, extra_edges=int(rng.integers(1, 6)))
         edges = {(b, a) if kind == "parent_of" else (a, b) for a, b, kind in links}
         try:
-            TypeHierarchy.from_links(links, types=names)
+            TypeHierarchy(links, extra_types=names)
         except CycleError as exc:
             rejected += 1
             cycle = exc.cycle
@@ -189,8 +189,8 @@ def test_link_faults_name_their_location(tmp_path, route, fault):
             p = tmp_path / "links.tsv"
             p.write_text("".join("\t".join(link) + "\n" for link in links), encoding="utf-8")
             load_hierarchy(str(p))
-        elif route == "from_links":
-            TypeHierarchy.from_links(links, source="mem")
+        elif route == "from_links":  # a list of links, handed to the constructor
+            TypeHierarchy(links, source="mem")
         else:
             TypeHierarchy.from_dict({"format": "hiertype-hierarchy", "version": 1,
                                      "types": ["x", "y", "a", "b"], "links": links},
@@ -441,9 +441,9 @@ def test_random_graphs_match_reachability_oracle(seed, with_equiv):
     names, links = random_dag_links(rng, max_nodes=18, p_equiv=0.25 if with_equiv else 0.0)
     if not is_acyclic(names, links):
         with pytest.raises(CycleError):
-            TypeHierarchy.from_links(links, types=names)
+            TypeHierarchy(links, extra_types=names)
         return
-    h = TypeHierarchy.from_links(links, types=names)
+    h = TypeHierarchy(links, extra_types=names)
     for name in names:
         assert {t.name for t in h.ancestors(name)} == reachable(links, name)
 
@@ -452,7 +452,7 @@ def test_random_graphs_match_reachability_oracle(seed, with_equiv):
 def test_dag_closure_is_transitive_and_irreflexive(seed):
     rng = np.random.default_rng(seed)
     names, links = random_dag_links(rng, max_nodes=15)
-    h = TypeHierarchy.from_links(links, types=names)
+    h = TypeHierarchy(links, extra_types=names)
     for name in names:
         anc = h.ancestors(name)
         assert all(t.name != name for t in anc)
@@ -467,7 +467,7 @@ def test_closure_is_idempotent_and_monotone(seed):
     names, links = random_dag_links(rng, max_nodes=15, p_equiv=0.2)
     if not is_acyclic(names, links):
         return
-    h = TypeHierarchy.from_links(links, types=names)
+    h = TypeHierarchy(links, extra_types=names)
     k = max(1, len(names) // 3)
     subset = list(rng.choice(names, size=k, replace=False))
     once = h.closure(subset)

@@ -224,7 +224,7 @@ def test_encode_mention_uses_embedding_lookup():
     emb = EmbeddingTable(["cat", "sat"], rng.normal(size=(2, d)))
     m = Mention(tokens=("the", "cat", "sat"), span=(1, 1))
     got = encode_mention(p, [m], emb, EncoderMode.CNN_PLUS_MENTION)[0]
-    wv = np.stack([np.zeros(d), emb.lookup("cat"), emb.lookup("sat")])
+    wv = np.stack([np.zeros(d), emb.vectors(["cat"])[0], emb.vectors(["sat"])[0]])
     want = encode_vectors_cached(p, [wv], [(1, 1)], EncoderMode.CNN_PLUS_MENTION).out[0]
     assert np.array_equal(got, want)
 
@@ -718,6 +718,21 @@ def test_model_copy_shares_no_memory():
         assert not np.shares_memory(c.tensors()[name], p.flat), name
     c.flat += 1.0
     assert np.array_equal(p.flat, p.copy().flat) and not np.array_equal(c.flat, p.flat)
+
+
+def test_model_over_a_vector_uses_it_as_is():
+    rng = np.random.default_rng(26)
+    p = random_model(rng, 3, 3, 4, with_structure_bilinear=True)
+    v = rng.normal(size=p.flat.shape)
+    q = p.over(v)
+    assert q.flat is v and list(q.tensors()) == list(p.tensors())
+    for name, t in q.tensors().items():
+        assert t.base is v and t.shape == p.tensors()[name].shape, name
+    v[:] = np.arange(v.size)
+    assert np.array_equal(np.concatenate([t.ravel() for t in q.tensors().values()]), v)
+    for bad in (np.zeros(v.size - 1), np.zeros(v.size + 1), np.zeros(v.size, dtype=np.float32)):
+        with pytest.raises(ModelError, match="over needs float64"):
+            p.over(bad)
 
 
 def test_loaded_params_and_word_emb_are_views_of_one_buffer(tmp_path):

@@ -276,7 +276,7 @@ def test_typing_loss_zero_params_is_n_log_two():
     d, n_types = 3, 5
     params = zero_params(d=d, n_types=n_types)
     emb = EmbeddingTable(["w00"], np.ones((1, d)))
-    hier = TypeHierarchy.from_links([], types=[f"t{i}" for i in range(n_types)])
+    hier = TypeHierarchy([], extra_types=[f"t{i}" for i in range(n_types)])
     batch = toy_examples(hier, [["t0"], ["t1", "t2"]])
     got = typing_only_loss(batch, params, emb, kind=ScoreKind.DOT,
                            mode=EncoderMode.CNN_PLUS_MENTION)
@@ -287,9 +287,9 @@ def test_typing_loss_zero_params_is_n_log_two():
 def test_typing_loss_matches_oracle():
     rng = np.random.default_rng(2)
     d, n_types = 3, 6
-    hier = TypeHierarchy.from_links(
+    hier = TypeHierarchy(
         [("a", "b", "child_of"), ("c", "b", "child_of"), ("d", "a", "child_of")],
-        types=["e", "f"],
+        extra_types=["e", "f"],
     )
     emb = EmbeddingTable([f"tok{i}" for i in range(8)], rng.normal(size=(8, d)))
     for kind in (ScoreKind.ORDER, ScoreKind.BILINEAR, ScoreKind.DOT):
@@ -323,7 +323,7 @@ def test_typing_loss_with_dropout_matches_oracle():
     d = 4
     params = random_model(rng, d, 3, 4, with_bilinear=False)
     emb = EmbeddingTable(["a", "b"], rng.normal(size=(2, d)))
-    hier = TypeHierarchy.from_links([], types=["t0", "t1", "t2", "t3"])
+    hier = TypeHierarchy([], extra_types=["t0", "t1", "t2", "t3"])
     batch = toy_examples(hier, [["t0"], ["t3"]], n_tokens=2)
     masks = sample_dropout_masks(rng, len(batch), d, 0.5)
     got = typing_only_loss(batch, params, emb, kind=ScoreKind.DOT,
@@ -382,8 +382,8 @@ def test_structure_loss_errors():
 
 
 def test_structure_pool_lists_types_with_ancestors():
-    hier = TypeHierarchy.from_links(
-        [("a", "b", "child_of"), ("b", "c", "child_of")], types=["solo"])
+    hier = TypeHierarchy(
+        [("a", "b", "child_of"), ("b", "c", "child_of")], extra_types=["solo"])
     pool = structure_pool(hier)
     by_type = {t: anc for t, anc in pool}
     a, b, c, solo = (hier.resolve(n).index for n in ("a", "b", "c", "solo"))
@@ -447,10 +447,10 @@ def test_backward_closed_form_for_degenerate_encoder():
         G[i, list(g)] = 1.0
     dU = s[None, :] - G  # sigma - gold indicator, every mention encodes to b2
     m = len(golds)
-    assert np.allclose(grads["b2"], (dU.sum(axis=0) @ params.type_emb) / m, atol=1e-12)
-    assert np.allclose(grads["type_emb"], dU.sum(axis=0)[:, None] * b2[None, :] / m, atol=1e-12)
+    assert np.allclose(grads.b2, (dU.sum(axis=0) @ params.type_emb) / m, atol=1e-12)
+    assert np.allclose(grads.type_emb, dU.sum(axis=0)[:, None] * b2[None, :] / m, atol=1e-12)
     for name in ("cnn_w", "cnn_b", "w1", "b1", "w2"):
-        assert np.count_nonzero(grads[name]) == 0, name
+        assert np.count_nonzero(getattr(grads, name)) == 0, name
     want_loss = (-np.log(s[None, :]) * G - np.log(1 - s)[None, :] * (1 - G)).sum() / m
     assert value == pytest.approx(want_loss, abs=1e-12)
 
@@ -465,9 +465,9 @@ def test_backward_zero_structure_weight_means_zero_structure_grads():
     loss_a, grads_a = loss(prepared, [(1, (0,))], params, cfg, grads=True)
     loss_b, grads_b = loss(prepared, None, params, cfg, grads=True)
     assert loss_a == loss_b
-    assert np.count_nonzero(grads_a["bilinear_structure"]) == 0
-    for name, g in grads_a.items():
-        assert np.array_equal(g, grads_b[name]), name
+    assert np.count_nonzero(grads_a.bilinear_structure) == 0
+    for name, g in grads_a.tensors().items():
+        assert np.array_equal(g, grads_b.tensors()[name]), name
 
 
 def test_backward_mention_only_means_zero_cnn_grads():
@@ -480,9 +480,9 @@ def test_backward_mention_only_means_zero_cnn_grads():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.DOT,
                        encoder_mode=EncoderMode.MENTION_ONLY)
     _, grads = loss(prepared, None, params, cfg, grads=True)
-    assert np.count_nonzero(grads["cnn_w"]) == 0
-    assert np.count_nonzero(grads["cnn_b"]) == 0
-    assert np.count_nonzero(grads["w1"]) and np.count_nonzero(grads["b1"])
+    assert np.count_nonzero(grads.cnn_w) == 0
+    assert np.count_nonzero(grads.cnn_b) == 0
+    assert np.count_nonzero(grads.w1) and np.count_nonzero(grads.b1)
 
 
 def test_backward_structure_gradient_matches_finite_differences():
@@ -495,7 +495,7 @@ def test_backward_structure_gradient_matches_finite_differences():
                        structure_weight=1.3, margin=0.9)
     _, grads = loss(None, sbatch, params, cfg, grads=True)
     report = oracles.finite_difference_check(oracles.kinked_loss(None, sbatch, params, cfg),
-                                             params.tensors(), grads)
+                                             params.tensors(), grads.tensors())
     assert report.checked > 0
     assert report.max_rel_error < 1e-6, report.worst
 
@@ -509,16 +509,18 @@ def test_loss_gradients_are_views_of_one_vector():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.BILINEAR,
                        structure_score_kind=ScoreKind.BILINEAR, structure_weight=0.5)
     _, grads = loss(prepared, [(0, (1, 2))], params, cfg, grads=True)
-    assert list(grads) == list(params.tensors())
-    base = grads["cnn_w"].base
-    assert base is not None and base.shape == params.flat.shape
+    assert isinstance(grads, ModelParams)
+    assert list(grads.tensors()) == list(params.tensors())
+    base = grads.flat
+    assert base.base is None and base.shape == params.flat.shape
+    assert not np.shares_memory(base, params.flat)
     at = base.__array_interface__["data"][0]
-    for name, g in grads.items():
+    for name, g in grads.tensors().items():
         assert g.base is base and g.shape == params.tensors()[name].shape, name
         assert g.__array_interface__["data"][0] == at and g.flags.c_contiguous, name
         at += g.nbytes
-    assert all(np.count_nonzero(grads[n]) for n in ("w1", "type_emb", "bilinear",
-                                                    "bilinear_structure"))
+    assert all(np.count_nonzero(getattr(grads, n)) for n in ("w1", "type_emb", "bilinear",
+                                                             "bilinear_structure"))
 
 
 def test_backward_rejects_bad_batches():
@@ -539,7 +541,7 @@ def test_backward_rejects_bad_batches():
 
 
 def test_prepare_typing_batch():
-    hier = TypeHierarchy.from_links([("a", "b", "child_of")])
+    hier = TypeHierarchy([("a", "b", "child_of")])
     emb = EmbeddingTable(["x"], np.ones((1, 2)))
     examples = toy_examples(hier, [["a"]], n_tokens=2)
     prepared = prepare_typing_batch(examples, emb)
@@ -605,7 +607,7 @@ def test_fd_check_encoder_kink_at_zero_bias():
     _, grads = loss(prepared, None, params, cfg, grads=True)
     tensors = params.tensors()
     report = oracles.finite_difference_check(oracles.kinked_loss(prepared, None, params, cfg),
-                                             tensors, grads)
+                                             tensors, grads.tensors())
     total = sum(t.size for t in tensors.values())
     assert report.skipped == 2 * d  # every b1 and cnn_b coordinate
     assert report.checked == total - 2 * d
@@ -624,16 +626,16 @@ def test_fd_check_skips_the_order_kinks():
     cfg = small_config(dim=d, mention_score_kind=ScoreKind.ORDER, structure_weight=1.0,
                        margin=1.0)
     _, grads = loss(None, sbatch, params, cfg, grads=True)
-    assert grads["type_emb"][3, 0] == 6.0  # d(y - x)^2 / dy at y - x = 3
+    assert grads.type_emb[3, 0] == 6.0  # d(y - x)^2 / dy at y - x = 3
     tensors = params.tensors()
     report = oracles.finite_difference_check(oracles.kinked_loss(None, sbatch, params, cfg),
-                                             tensors, grads)
+                                             tensors, grads.tensors())
     assert report.skipped == 3
     assert report.checked == sum(t.size for t in tensors.values()) - 3
     assert report.max_rel_error < 1e-4, report.worst
     # unguarded, the hinge kink reads as a wrong gradient
     unguarded = oracles.finite_difference_check(
-        lambda _tensors: (loss(None, sbatch, params, cfg)[0], b""), tensors, grads)
+        lambda _tensors: (loss(None, sbatch, params, cfg)[0], b""), tensors, grads.tensors())
     assert unguarded.skipped == 0 and unguarded.max_rel_error > 0.4
 
 
@@ -661,8 +663,8 @@ def test_fd_check_ragged_batch_with_dropout():
         cfg = small_config(dim=d, filter_width=w, mention_score_kind=kind)
         _, grads = loss(prepared, None, params, cfg, masks, grads=True)
         report = oracles.finite_difference_check(
-            oracles.kinked_loss(prepared, None, params, cfg, masks), params.tensors(), grads)
-        assert np.count_nonzero(grads["cnn_w"]) > 0
+            oracles.kinked_loss(prepared, None, params, cfg, masks), params.tensors(), grads.tensors())
+        assert np.count_nonzero(grads.cnn_w) > 0
         assert report.checked > 0.9 * sum(t.size for t in params.tensors().values())
         assert report.max_rel_error < 1e-4, (kind, report.worst)
 
@@ -803,8 +805,8 @@ def test_fd_check_multi_chunk_order_grid(monkeypatch):
         _, grads = loss(typing_batch, structure_batch, params, cfg, grads=True)
         report = oracles.finite_difference_check(
             oracles.kinked_loss(typing_batch, structure_batch, params, cfg), params.tensors(),
-            grads)
-        live = grads["type_emb"].size + (grads["w1"].size if typing_batch else 0)
+            grads.tensors())
+        live = grads.type_emb.size + (grads.w1.size if typing_batch else 0)
         assert report.checked > 0.5 * live
         assert report.max_rel_error < 1e-4, report.worst
 
@@ -862,7 +864,7 @@ def test_cnn_loss_bits_do_not_depend_on_the_worker_count(monkeypatch):
             monkeypatch.setattr(model, "LANES", lanes)
             monkeypatch.setattr(model, "_usable_cpus", lambda: workers)
             value, grads = loss(typing, None, params, cfg, masks, grads=True)
-            runs[lanes, workers] = value, np.concatenate([g.ravel() for g in grads.values()])
+            runs[lanes, workers] = value, grads.flat
     finally:
         sys.setswitchinterval(interval)
     for lanes in (2, 4):
@@ -884,8 +886,8 @@ def test_fd_check_cnn_rows_split_across_two_lanes(monkeypatch):
     cfg = small_config(dim=d, filter_width=w, mention_score_kind=ScoreKind.BILINEAR)
     _, grads = loss(typing, None, params, cfg, masks, grads=True)
     report = oracles.finite_difference_check(
-        oracles.kinked_loss(typing, None, params, cfg, masks), params.tensors(), grads)
-    assert np.count_nonzero(grads["cnn_w"]) > 0
+        oracles.kinked_loss(typing, None, params, cfg, masks), params.tensors(), grads.tensors())
+    assert np.count_nonzero(grads.cnn_w) > 0
     assert report.checked > 0.9 * sum(t.size for t in params.tensors().values())
     assert report.max_rel_error < 1e-4, report.worst
 
@@ -917,100 +919,154 @@ def test_a_lane_that_runs_lanes_does_not_wait_on_its_own_pool(tmp_path):
 # Adam
 
 
+def _gradient(params, values):
+    """A gradient for ``params``: a model with its layout over ``values``."""
+    return params.over(np.broadcast_to(values, params.flat.shape).astype(np.float64))
+
+
 def test_adam_zero_gradient_is_a_no_op():
-    params = {"a": np.array([1.0, -2.0])}
+    params = random_model(np.random.default_rng(14), 2, 3, 3)
+    before = params.flat.copy()
     state = AdamState.for_params(params)
-    adam_step(params, {"a": np.zeros(2)}, state, lr=0.5)
-    assert np.array_equal(params["a"], [1.0, -2.0])
+    adam_step(params, _gradient(params, 0.0), state, lr=0.5)
+    assert np.array_equal(params.flat, before)
     assert state.step == 1
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
-    params = {"a": np.array([0.0])}
+    params = zero_params()
     state = AdamState.for_params(params)
-    adam_step(params, {"a": np.array([3.0])}, state, lr=0.1)
+    adam_step(params, _gradient(params, 3.0), state, lr=0.1)
     # bias correction makes the first update lr * g / (|g| + eps)
-    assert params["a"][0] == pytest.approx(-0.1, abs=1e-8)
+    assert np.allclose(params.flat, -0.1, rtol=0.0, atol=1e-8)
 
 
 def test_adam_rejects_non_finite_gradients():
-    params = {"weights": np.array([1.0])}
+    params = zero_params()
     state = AdamState.for_params(params)
-    with pytest.raises(GradientError) as exc:
-        adam_step(params, {"weights": np.array([np.nan])}, state, lr=0.1)
-    assert "weights" in str(exc.value)
-    with pytest.raises(GradientError):
-        adam_step(params, {"weights": np.array([np.inf])}, state, lr=0.1)
+    grads = _gradient(params, 1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        grads.w2[1, 0] = bad
+        with pytest.raises(GradientError, match="non-finite gradient") as exc:
+            adam_step(params, grads, state, lr=0.1)
+        assert "'w2'" in str(exc.value)
+
+
+@pytest.mark.parametrize("bad", [1.35e154, -1e200, 1e308])
+def test_adam_rejects_a_gradient_whose_square_overflows(bad):
+    # every value is finite, but g * g would be inf in v
+    params = zero_params()
+    state = AdamState.for_params(params)
+    grads = _gradient(params, 1.0)
+    grads.type_emb[-1, -1] = bad
+    with pytest.raises(GradientError, match="too large to square for 'type_emb' at step 1"):
+        adam_step(params, grads, state, lr=0.1)
+    grads.type_emb[-1, -1] = math.copysign(math.sqrt(sys.float_info.max), bad)  # the largest allowed
+    adam_step(params, grads, state, lr=0.1)
+    assert np.isfinite(state.v).all() and np.isfinite(params.flat).all()
 
 
 def test_adam_updates_model_views_in_place():
     rng = np.random.default_rng(12)
     params = random_model(rng, 2, 3, 3, with_bilinear=False)
-    tensors = params.tensors()
-    state = AdamState.for_params(tensors)
+    state = AdamState.for_params(params)
     before = params.type_emb.copy()
-    grads = {k: np.ones_like(v) for k, v in tensors.items()}
-    adam_step(tensors, grads, state, lr=0.05)
-    assert not np.array_equal(params.type_emb, before)  # dict holds live views
+    adam_step(params, _gradient(params, 1.0), state, lr=0.05)
+    assert not np.array_equal(params.type_emb, before)  # the tensors are live views of flat
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e2])
 def test_adam_matches_the_scalar_loop_bit_for_bit_over_30_steps(scale):
     rng = np.random.default_rng(31)
-    params = {"a": rng.normal(size=(7, 5)), "b": rng.normal(size=11)}
+    params = random_model(rng, 3, 3, 4, with_bilinear=False)
     state = AdamState.for_params(params)
-    p = [x for arr in params.values() for x in arr.ravel().tolist()]
+    p = params.flat.tolist()
     m, v = [0.0] * len(p), [0.0] * len(p)
     for t in range(1, 31):
-        grads = {k: scale * rng.normal(size=arr.shape) for k, arr in params.items()}
+        grads = _gradient(params, scale * rng.normal(size=params.flat.shape))
         adam_step(params, grads, state, lr=0.01)
-        g = [x for arr in grads.values() for x in arr.ravel().tolist()]
-        oracles.adam_scalar(p, g, m, v, t, lr=0.01)
-        got = np.concatenate([arr.ravel() for arr in params.values()])
-        assert np.array_equal(got.view(np.int64), np.array(p).view(np.int64)), (scale, t)
+        oracles.adam_scalar(p, grads.flat.tolist(), m, v, t, lr=0.01)
+        assert np.array_equal(params.flat.view(np.int64), np.array(p).view(np.int64)), (scale, t)
 
 
 @pytest.mark.parametrize("lanes", [1, 2, 4])
 @pytest.mark.parametrize("block", [7, None])
 def test_adam_matches_whole_tensor_adam_bit_for_bit(monkeypatch, lanes, block):
-    # sizes that divide by neither the lane count nor the block
+    # vector sizes that divide by neither the lane count nor the block
     if block is None:
-        block = training.ADAM_BLOCK
-        shapes = {"big": (2 * block + 5,), "small": (3,)}
+        block, shape = training.ADAM_BLOCK, (21, 5, 3170)  # 70,161 = 2 * 32,768 + 4,625
     else:
         monkeypatch.setattr(training, "ADAM_BLOCK", block)
-        shapes = {"a": (1,), "b": (6,), "c": (7,), "d": (5, 9), "e": (101,), "f": (3, 4, 5)}
+        shape = (3, 3, 4)  # 75 = 10 * 7 + 5
     monkeypatch.setattr(model, "LANES", lanes)
     monkeypatch.setattr(model, "_usable_cpus", lambda: lanes)
     monkeypatch.setattr(model, "LANE_MIN_WORK", 0)
     rng = np.random.default_rng(33)
-    params = {k: rng.normal(size=s) for k, s in shapes.items()}
-    want = {k: p.copy() for k, p in params.items()}
+    params = random_model(rng, *shape, with_bilinear=False)
+    n = params.flat.size
+    assert n % block and (lanes == 1 or n % lanes)
+    want = params.copy()
     state = AdamState.for_params(params)
-    m, v = ({k: np.zeros_like(p) for k, p in params.items()} for _ in range(2))
+    m, v = np.zeros(n), np.zeros(n)
+    p_s, m_s, v_s = params.flat.tolist(), [0.0] * n, [0.0] * n
     for t in range(1, 6):
-        grads = {k: rng.normal(scale=10.0 ** (t - 3), size=s) for k, s in shapes.items()}
+        grads = _gradient(params, rng.normal(scale=10.0 ** (t - 3), size=n))
         adam_step(params, grads, state, lr=0.01)
-        oracles.adam_whole_tensors(want, grads, m, v, t, lr=0.01)
-        for k in shapes:
-            for got, ref in ((params[k], want[k]), (state.m[k], m[k]), (state.v[k], v[k])):
-                assert np.array_equal(got.view(np.int64), ref.view(np.int64)), (k, t)
+        oracles.adam_whole_tensors(want.tensors(), grads.tensors(), want.over(m).tensors(),
+                                   want.over(v).tensors(), t, lr=0.01)
+        oracles.adam_scalar(p_s, grads.flat.tolist(), m_s, v_s, t, lr=0.01)
+        for got, whole, one in zip((params.flat, state.m, state.v), (want.flat, m, v), (p_s, m_s, v_s)):
+            assert np.array_equal(got.view(np.int64), whole.view(np.int64)), t
+            assert np.array_equal(got.view(np.int64), np.array(one).view(np.int64)), t
 
 
 def test_adam_checks_every_gradient_before_any_tensor_moves():
-    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+    params = random_model(np.random.default_rng(15), 2, 3, 3)
+    before = params.flat.copy()
     state = AdamState.for_params(params)
-    with pytest.raises(GradientError, match="'b' at step 1"):
-        adam_step(params, {"a": np.ones(2), "b": np.array([np.nan])}, state, lr=0.1)
-    assert np.array_equal(params["a"], [1.0, 2.0])
-    assert not state.m["a"].any()
+    grads = _gradient(params, 1.0)
+    grads.type_emb[-1, -1] = np.nan
+    with pytest.raises(GradientError, match="'type_emb' at step 1"):
+        adam_step(params, grads, state, lr=0.1)
+    assert np.array_equal(params.flat, before)
+    assert not state.m.any()
 
 
-def test_adam_refuses_a_tensor_it_cannot_update_through_a_flat_view():
-    params = {"a": np.zeros((3, 4))[:, ::2]}
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_adam_bad_gradient_moves_no_element(bad):
+    rng = np.random.default_rng(17)
+    params = random_model(rng, 3, 3, 4, with_bilinear=True)
     state = AdamState.for_params(params)
-    with pytest.raises(TrainingError, match="'a' is not"):
-        adam_step(params, {"a": np.ones((3, 2))}, state, lr=0.1)
+    for _ in range(2):
+        adam_step(params, _gradient(params, rng.normal(size=params.flat.size)), state, lr=0.1)
+    before = [a.copy() for a in (params.flat, state.m, state.v)]
+    grads = _gradient(params, rng.normal(size=params.flat.size))
+    grads.cnn_b[1] = bad
+    with pytest.raises(GradientError, match="'cnn_b' at step 3"):
+        adam_step(params, grads, state, lr=0.1)
+    for got, was in zip((params.flat, state.m, state.v), before):
+        assert np.array_equal(got.view(np.int64), was.view(np.int64))
+    assert state.step == 2
+
+
+def test_adam_refuses_a_layout_that_differs_from_the_parameters():
+    rng = np.random.default_rng(18)
+    params = random_model(rng, 2, 3, 3, with_bilinear=False)
+    # 36 values each, in other tensors
+    same_size = random_model(rng, 2, 3, 1, with_bilinear=True)
+    assert same_size.flat.shape == params.flat.shape
+    state = AdamState.for_params(params)
+    for grads in (same_size, random_model(rng, 2, 3, 4, with_bilinear=False)):
+        with pytest.raises(TrainingError, match="laid out like the parameters"):
+            adam_step(params, grads, state, lr=0.1)
+    grads = _gradient(params, 1.0)
+    for moments in (AdamState.for_params(random_model(rng, 2, 3, 4)),
+                    AdamState(step=0, m=np.zeros(36), v=np.zeros(35))):
+        with pytest.raises(TrainingError, match="laid out like the parameters"):
+            adam_step(params, grads, moments, lr=0.1)
+    assert state.step == 0 and not state.m.any()
+    adam_step(params, grads, state, lr=0.1)
+    assert state.step == 1
 
 
 def test_sample_structure_batch():
@@ -1028,7 +1084,7 @@ def test_sample_structure_batch():
 
 def micro_task(seed=0):
     rng = np.random.default_rng(seed)
-    hier = TypeHierarchy.from_links([("cat", "animal", "child_of"), ("car", "thing", "child_of")])
+    hier = TypeHierarchy([("cat", "animal", "child_of"), ("car", "thing", "child_of")])
     d = 4
     vocab = ["meow", "vroom", "the", "a"]
     emb = EmbeddingTable(vocab, rng.normal(size=(len(vocab), d)))
@@ -1057,7 +1113,7 @@ def test_train_learns_micro_task_and_improves_loss():
 def test_train_early_stopping_on_flat_dev():
     # single-type hierarchy: dev MAP is 1.0 from epoch one, so the stop
     # fires exactly when epoch - best_epoch reaches the patience
-    hier = TypeHierarchy.from_links([], types=["only"])
+    hier = TypeHierarchy([], extra_types=["only"])
     emb = EmbeddingTable(["x"], np.ones((1, 3)))
     examples = [LabeledExample(
         mention=Mention(tokens=("x", "x"), span=(0, 0), entity_id=f"e{i}"),
@@ -1161,7 +1217,7 @@ def test_train_follows_the_step_protocol_bit_for_bit(monkeypatch, name):
 
 
 def test_train_structure_weight_requires_ancestors():
-    hier = TypeHierarchy.from_links([], types=["a", "b"])
+    hier = TypeHierarchy([], extra_types=["a", "b"])
     emb = EmbeddingTable(["x"], np.ones((1, 3)))
     examples = [LabeledExample(
         mention=Mention(tokens=("x",), span=(0, 0)), gold_types=hier.closure(["a"]))]
@@ -1197,7 +1253,7 @@ def test_write_history_rows_roundtrip(tmp_path):
 
 def test_make_checkpoint_records_structure_kind_only_when_used():
     rng = np.random.default_rng(14)
-    hier = TypeHierarchy.from_links([("a", "b", "child_of")])
+    hier = TypeHierarchy([("a", "b", "child_of")])
     emb = EmbeddingTable(["x"], rng.normal(size=(1, 3)))
     params = random_model(rng, 3, 3, 2, with_bilinear=False)
     cfg = small_config(dim=3, mention_score_kind=ScoreKind.DOT, structure_weight=0.0)
